@@ -14,7 +14,7 @@ from .bitstream import bpp
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup, UtilizationStats, utilization
 from .errors import EmptyCorpus
 from .latent import PcaTransform, decode, encode
-from .quantizer import dequantize, quantize_group, quantize_routed
+from .quantizer import dequantize, nearest, quantize_routed
 
 
 @dataclass
@@ -146,10 +146,9 @@ def assignment_histograms_shared(corpus: np.ndarray, shared: Codebook, T: int) -
 
 def assignment_histograms_group(corpus: np.ndarray, group: TokenSpecificGroup) -> np.ndarray:
     hist = np.zeros((group.T, group.K), dtype=np.int64)
-    rows = np.arange(group.T)
+    codes = group.codes_array()
     for tokens in np.asarray(corpus, dtype=np.float64):
-        indices, _ = quantize_group(tokens, group)
-        np.add.at(hist, (rows, indices), 1)
+        hist[np.arange(group.T), nearest(tokens[None], codes)[0][0]] += 1
     return hist
 
 

@@ -13,6 +13,8 @@ import numpy as np
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup
 from .errors import DimensionMismatch, IndexOutOfRange, ShapeMismatch, UntrainedRouter
 
+_CHUNK_BYTES = 1 << 22
+
 
 @dataclass
 class QuantizedImage:
@@ -41,6 +43,26 @@ def quantize_one(z: np.ndarray, cb: Codebook) -> tuple[int, float]:
     return idx, float(dists[idx])
 
 
+def nearest(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest code per token: (B, T) indices and their squared errors.
+
+    batch is (B, T, d); codes is (T, K, d), or (1, K, d) for one codebook
+    shared by every token. Ties go to the lowest index. Tokens are taken in
+    slices so the difference temporary stays within _CHUNK_BYTES.
+    """
+    B, T, d = batch.shape
+    codes = np.broadcast_to(codes, (T,) + codes.shape[1:])
+    indices = np.empty((B, T), dtype=np.intp)
+    errors = np.empty((B, T))
+    step = max(1, _CHUNK_BYTES // (8 * max(B, 1) * codes.shape[1] * d))
+    for t in range(0, T, step):
+        diff = batch[:, t : t + step, None, :] - codes[None, t : t + step]
+        dists = np.einsum("btkd,btkd->btk", diff, diff)
+        indices[:, t : t + step] = dists.argmin(axis=2)
+        errors[:, t : t + step] = dists.min(axis=2)
+    return indices, errors
+
+
 def quantize_group(tokens, g: TokenSpecificGroup) -> tuple[np.ndarray, float]:
     """Per-token nearest-neighbor indices and the summed squared error."""
     values = _tokens_2d(tokens)
@@ -48,12 +70,8 @@ def quantize_group(tokens, g: TokenSpecificGroup) -> tuple[np.ndarray, float]:
         raise ShapeMismatch(f"{values.shape[0]} tokens vs group T={g.T}")
     if values.shape[1] != g.d:
         raise ShapeMismatch(f"token dim {values.shape[1]} vs codebook dim {g.d}")
-    # (T, K) distance table against the stacked (T, K, d) codes
-    diff = g.codes_array() - values[:, None, :]
-    dists = np.einsum("tkd,tkd->tk", diff, diff)
-    indices = dists.argmin(axis=1)
-    total = float(dists[np.arange(g.T), indices].sum())
-    return indices.astype(np.int64), total
+    indices, errors = nearest(values[None], g.codes_array())
+    return indices[0].astype(np.int64), float(errors[0].sum())
 
 
 def group_errors(batch: np.ndarray, pool: CodebookPool) -> np.ndarray:
@@ -61,13 +79,7 @@ def group_errors(batch: np.ndarray, pool: CodebookPool) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 2:
         batch = batch[None]
-    B = batch.shape[0]
-    out = np.empty((B, pool.M))
-    for i, g in enumerate(pool.groups):
-        diff = batch[:, :, None, :] - g.codes_array()[None]
-        dists = np.einsum("btkd,btkd->btk", diff, diff)
-        out[:, i] = dists.min(axis=2).sum(axis=1)
-    return out
+    return np.stack([nearest(batch, g.codes_array())[1].sum(axis=1) for g in pool.groups], axis=1)
 
 
 def quantize_routed(tokens, pool: CodebookPool, policy: str = "nn", router=None) -> QuantizedImage:

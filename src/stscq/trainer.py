@@ -14,23 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import (
-    Codebook,
-    CodebookPool,
-    TokenSpecificGroup,
-    derive_token_specific,
-    init_kmeanspp,
-    utilization,
-)
+from .codebook import Codebook, CodebookPool, TokenSpecificGroup, init_kmeanspp, utilization
 from .errors import DivergenceDetected, StageOrderError, TooFewSamples
-from .latent import PcaTransform, image_patches
-from .quantizer import group_errors, quantize_routed
-from .router import (
-    RouterParams,
-    init_router,
-    router_loss_and_grads,
-    router_probs,
-)
+from .latent import PcaTransform, encode, image_patches
+from .quantizer import dequantize, group_errors, nearest, quantize_routed
+from .router import RouterParams, init_router, router_loss_and_grads, router_probs
 
 _GRAD_CLIP = 1e3
 
@@ -41,15 +29,12 @@ class TrainConfig:
     K: int = 16
     T: int = 16
     d: int = 8
-    s: int = 0  # size-reduction exponent, recorded via K = N / 2**s
     lam1: float = 0.1
     lam2: float = 0.1
     learning_rate: float = 1e-3
-    commitment_weight: float = 0.0  # encoder is frozen, so this defaults off
     batch_size: int = 32
     steps_stage1: int = 2000
     steps_stage2: int = 8000
-    steps_stage3: int = 2000
     seed: int = 0
     dead_code_epochs: int = 1
     hidden: int = 64
@@ -82,11 +67,6 @@ class TrainReport:
             },
             indent=2,
         )
-
-
-def commitment_loss(z_e: np.ndarray, z_q: np.ndarray) -> float:
-    """Squared distance of the encoder output to its (constant) quantization."""
-    return float(((z_e - z_q) ** 2).sum())
 
 
 def _cosine_lr(base: float, step: int, total: int) -> float:
@@ -141,11 +121,63 @@ def _router_step(router: RouterParams, pooled, errs, cfg, lr) -> float:
     return loss
 
 
-def _assign_tokens(batch: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Nearest-code index per token: batch (n, T, d) vs codes (T, K, d) -> (n, T)."""
-    diff = batch[:, :, None, :] - codes[None]
-    dists = np.einsum("btkd,btkd->btk", diff, diff)
-    return dists.argmin(axis=2)
+def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
+    """Mini-batch online k-means of dense (M, T', K, d) codes jointly with the router.
+
+    T' == 1 is one codebook shared by every token (stage 1); T' == T gives each
+    token position its own (stage 2). The first `warmup` steps update only the
+    router. Returns the refined codes and the per-step loss curve.
+    """
+    n = data.shape[0]
+    codes = np.array(codes, dtype=np.float64, order="C")
+    M, Tp, K, d = codes.shape
+    flat = codes.reshape(-1, d)
+    token_row = np.arange(cfg.T) % Tp  # all zeros when one codebook serves every token
+    epoch_len = max(1, n // cfg.batch_size)
+    usage = np.zeros((M, Tp, K), dtype=np.int64)
+    stale = np.zeros((M, Tp, K), dtype=np.int64)
+    curve = []
+
+    for step in range(steps):
+        lr = _cosine_lr(cfg.learning_rate, step, steps)
+        batch = data[rng.integers(0, n, size=cfg.batch_size)]
+        pooled = batch.mean(axis=1)
+        found = [nearest(batch, codes[m]) for m in range(M)]
+        errs = np.stack([err.sum(axis=1) for _, err in found], axis=1)
+        routed = router_probs(pooled, router).argmax(axis=1)
+        rows = np.arange(len(batch))
+
+        quant_loss = float(errs[rows, routed].mean())
+        if step >= warmup:
+            # sums and counts per (m, t', k) key, accumulated in batch order
+            idx = np.stack([i for i, _ in found])[routed, rows]
+            keys = ((routed[:, None] * Tp + token_row) * K + idx).ravel()
+            counts = np.bincount(keys, minlength=M * Tp * K)
+            sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
+                               weights=batch.ravel(), minlength=flat.size).reshape(-1, d)
+            used = counts > 0
+            means = sums[used] / counts[used][:, None]
+            flat[used] -= 2.0 * lr * (flat[used] - means)
+            usage += counts.reshape(M, Tp, K)
+
+        # per-dimension error scale keeps the linear guided term from
+        # saturating the softmax before the balance term can act
+        router_loss = _router_step(router, pooled, errs / (cfg.T * cfg.d), cfg, lr)
+        total = quant_loss + router_loss
+        if not np.isfinite(total):
+            raise DivergenceDetected(f"stage {stage} loss became {total} at step {step}")
+        curve.append(total)
+
+        if (step + 1) % epoch_len == 0:
+            stale = np.where(usage > 0, 0, stale + 1)
+            dead = stale >= cfg.dead_code_epochs
+            for m, t, k in zip(*np.nonzero(dead)):
+                image = data[rng.integers(n)]
+                sample = image[rng.integers(cfg.T)] if Tp == 1 else image[t]
+                codes[m, t, k] = sample + 1e-3 * rng.standard_normal(d)
+                stale[m, t, k] = 0
+            usage[:] = 0
+    return codes, curve
 
 
 def stage1(
@@ -158,61 +190,15 @@ def stage1(
     """Train token-shared switchable codebooks jointly with the router."""
     cfg.validate()
     data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
     if pool is None:
         pool = init_stage1_pool(data, cfg)
     if router is None:
         router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed + 1)
-    curve = []
-    epoch_len = max(1, n // cfg.batch_size)
-    usage = np.zeros((cfg.M, cfg.K), dtype=np.int64)
-    stale = np.zeros((cfg.M, cfg.K), dtype=np.int64)
     start = time.perf_counter()
-
-    for step in range(cfg.steps_stage1):
-        lr = _cosine_lr(cfg.learning_rate, step, cfg.steps_stage1)
-        batch = data[rng.integers(0, n, size=cfg.batch_size)]
-        pooled = batch.mean(axis=1)
-        errs = group_errors(batch, pool)
-        routed = router_probs(pooled, router).argmax(axis=1)
-
-        quant_loss = float(errs[np.arange(len(batch)), routed].mean())
-        for i in range(cfg.M):
-            if step < cfg.router_warmup:
-                break
-            sel = batch[routed == i]
-            if sel.size == 0:
-                continue
-            shared = pool.groups[i].sub[0]
-            flat = sel.reshape(-1, cfg.d)
-            idx = _assign_tokens(sel, pool.groups[i].codes_array()).ravel()
-            sums = np.zeros_like(shared.codes)
-            counts = np.zeros(cfg.K, dtype=np.int64)
-            np.add.at(sums, idx, flat)
-            np.add.at(counts, idx, 1)
-            used = counts > 0
-            means = sums[used] / counts[used][:, None]
-            shared.codes[used] -= 2.0 * lr * (shared.codes[used] - means)
-            usage[i] += counts
-
-        # per-dimension error scale keeps the linear guided term from
-        # saturating the softmax before the balance term can act
-        router_loss = _router_step(router, pooled, errs / (cfg.T * cfg.d), cfg, lr)
-        total = quant_loss + router_loss
-        if not np.isfinite(total):
-            raise DivergenceDetected(f"stage 1 loss became {total} at step {step}")
-        curve.append(total)
-
-        if (step + 1) % epoch_len == 0:
-            stale = np.where(usage > 0, 0, stale + 1)
-            dead = stale >= cfg.dead_code_epochs
-            for i, k in zip(*np.nonzero(dead)):
-                sample = data[rng.integers(n), rng.integers(cfg.T)]
-                pool.groups[i].sub[0].codes[k] = sample + 1e-3 * rng.standard_normal(cfg.d)
-                stale[i, k] = 0
-            usage[:] = 0
-
+    shared = np.stack([g.sub[0].codes for g in pool.groups])[:, None]
+    codes, curve = _refine(data, shared, router, cfg, cfg.steps_stage1, cfg.router_warmup,
+                           np.random.default_rng(cfg.seed + 1), 1)
+    pool = CodebookPool([TokenSpecificGroup([Codebook(c[0])] * cfg.T) for c in codes])
     if report is not None:
         report.loss_curves["stage1"] = curve
         report.wall_clock += time.perf_counter() - start
@@ -231,63 +217,12 @@ def stage2(
     if not shared_pool.token_shared:
         raise StageOrderError("stage 2 requires a token-shared stage-1 pool")
     data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
-    pool = CodebookPool(
-        [derive_token_specific(g.sub[0], cfg.T) for g in shared_pool.groups]
-    )
     router = router.copy()
-    rng = np.random.default_rng(cfg.seed + 2)
-    curve = []
-    epoch_len = max(1, n // cfg.batch_size)
-    usage = np.zeros((cfg.M, cfg.T, cfg.K), dtype=np.int64)
-    stale = np.zeros((cfg.M, cfg.T, cfg.K), dtype=np.int64)
-    t_mat = np.arange(cfg.T)
     start = time.perf_counter()
-
-    for step in range(cfg.steps_stage2):
-        lr = _cosine_lr(cfg.learning_rate, step, cfg.steps_stage2)
-        batch = data[rng.integers(0, n, size=cfg.batch_size)]
-        pooled = batch.mean(axis=1)
-        errs = group_errors(batch, pool)
-        routed = router_probs(pooled, router).argmax(axis=1)
-
-        quant_loss = float(errs[np.arange(len(batch)), routed].mean())
-        for i in range(cfg.M):
-            sel = batch[routed == i]
-            if sel.size == 0:
-                continue
-            codes = np.stack([cb.codes for cb in pool.groups[i].sub])
-            idx = _assign_tokens(sel, codes)  # (n_i, T)
-            tt = np.broadcast_to(t_mat, idx.shape)
-            sums = np.zeros((cfg.T, cfg.K, cfg.d))
-            counts = np.zeros((cfg.T, cfg.K), dtype=np.int64)
-            np.add.at(sums, (tt, idx), sel)
-            np.add.at(counts, (tt, idx), 1)
-            for t in range(cfg.T):
-                used = counts[t] > 0
-                if not used.any():
-                    continue
-                means = sums[t][used] / counts[t][used][:, None]
-                cb = pool.groups[i].sub[t]
-                cb.codes[used] -= 2.0 * lr * (cb.codes[used] - means)
-            usage[i] += counts
-
-        router_loss = _router_step(router, pooled, errs / (cfg.T * cfg.d), cfg, lr)
-        total = quant_loss + router_loss
-        if not np.isfinite(total):
-            raise DivergenceDetected(f"stage 2 loss became {total} at step {step}")
-        curve.append(total)
-
-        if (step + 1) % epoch_len == 0:
-            stale = np.where(usage > 0, 0, stale + 1)
-            dead = stale >= cfg.dead_code_epochs
-            for i, t, k in zip(*np.nonzero(dead)):
-                sample = data[rng.integers(n), t]
-                pool.groups[i].sub[t].codes[k] = sample + 1e-3 * rng.standard_normal(cfg.d)
-                stale[i, t, k] = 0
-            usage[:] = 0
-
-    pool.frozen = True
+    shared = np.stack([g.sub[0].codes for g in shared_pool.groups])[:, None]
+    codes, curve = _refine(data, np.broadcast_to(shared, (cfg.M, cfg.T, cfg.K, cfg.d)), router,
+                           cfg, cfg.steps_stage2, 0, np.random.default_rng(cfg.seed + 2), 2)
+    pool = CodebookPool([TokenSpecificGroup([Codebook(c) for c in g]) for g in codes], frozen=True)
     if report is not None:
         report.loss_curves["stage2"] = curve
         report.wall_clock += time.perf_counter() - start
@@ -305,7 +240,7 @@ def _utilization_summary(data: np.ndarray, pool: CodebookPool) -> dict[str, floa
     hist = np.zeros((pool.T, pool.K), dtype=np.int64)
     for tokens in data:
         q = quantize_routed(tokens, pool, policy="nn")
-        np.add.at(hist, (np.arange(pool.T), q.indices), 1)
+        hist[np.arange(pool.T), q.indices] += 1
     stats = utilization(hist, pool.K)
     return {"min": stats.min, "max": stats.max, "mean": stats.mean, "std": stats.std}
 
@@ -324,16 +259,12 @@ def stage3(
     """
     if not pool.frozen:
         raise StageOrderError("stage 3 requires a frozen (stage-2) pool")
-    from .latent import encode
-
     start = time.perf_counter()
     latents = []
     targets = []
     for img in images:
         tokens = encode(img, pca)
         q = quantize_routed(tokens.values, pool, policy="nn")
-        from .quantizer import dequantize
-
         latents.append(dequantize(q, pool))
         targets.append(image_patches(img, pca.patch_size))
     X = np.concatenate(latents)  # (N*T, d)

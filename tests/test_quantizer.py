@@ -3,9 +3,11 @@ import pytest
 
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific
 from stscq.errors import DimensionMismatch, IndexOutOfRange, ShapeMismatch, UntrainedRouter
+from stscq import quantizer
 from stscq.quantizer import (
     QuantizedImage,
     dequantize,
+    nearest,
     quantize_group,
     quantize_one,
     quantize_routed,
@@ -104,6 +106,32 @@ def test_group_shape_mismatch():
         quantize_group(np.zeros((4, 2)), group)
     with pytest.raises(ShapeMismatch):
         quantize_group(np.zeros((3, 5)), group)
+
+
+def test_nearest_matches_per_token_oracle():
+    rng = np.random.default_rng(12)
+    batch = rng.standard_normal((3, 5, 2))
+    codes = rng.standard_normal((5, 6, 2))
+    indices, errors = nearest(batch, codes)
+    for b in range(3):
+        for t in range(5):
+            oi, od = brute_force_nearest(batch[b, t], codes[t])
+            assert indices[b, t] == oi
+            assert errors[b, t] == pytest.approx(od, abs=1e-12)
+
+
+def test_nearest_slicing_and_sharing_are_exact(monkeypatch):
+    rng = np.random.default_rng(13)
+    batch = rng.standard_normal((4, 9, 3))
+    codes = rng.standard_normal((9, 7, 3))
+    whole = nearest(batch, codes)
+    shared = nearest(batch, codes[:1])
+    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 1)  # one token per slice
+    for got, want in zip(nearest(batch, codes), whole):
+        assert np.array_equal(got, want)
+    broadcast = np.broadcast_to(codes[:1], codes.shape)
+    for got, want in zip(nearest(batch, broadcast), shared):
+        assert np.array_equal(got, want)
 
 
 def test_routed_single_group_always_zero():

@@ -11,7 +11,6 @@ from stscq.synth import ImageCorpusSpec, MixtureSpec, make_image_corpus, make_to
 from stscq.trainer import (
     TrainConfig,
     TrainReport,
-    commitment_loss,
     mean_latent_mse,
     stage1,
     stage2,
@@ -208,12 +207,6 @@ def test_stage3_leaves_pool_untouched(tmp_path):
     h1 = hashlib.sha256((tmp_path / "before.pool").read_bytes()).hexdigest()
     h2 = hashlib.sha256((tmp_path / "after.pool").read_bytes()).hexdigest()
     assert h1 == h2
-
-
-def test_commitment_loss_zero_when_equal():
-    z = np.random.default_rng(0).standard_normal((4, 3))
-    assert commitment_loss(z, z) == 0.0
-    assert commitment_loss(z, z + 1.0) == pytest.approx(z.size)
 
 
 def test_report_histogram_sums_to_sample_count(mixture):
