@@ -126,7 +126,8 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
 
     T' == 1 is one codebook shared by every token (stage 1); T' == T gives each
     token position its own (stage 2). The first `warmup` steps update only the
-    router. Returns the refined codes and the per-step loss curve.
+    router and count no code usage, so no code is reset as dead during them.
+    Returns the refined codes and the per-step loss curve.
     """
     n = data.shape[0]
     codes = np.array(codes, dtype=np.float64, order="C")
@@ -168,7 +169,7 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
             raise DivergenceDetected(f"stage {stage} loss became {total} at step {step}")
         curve.append(total)
 
-        if (step + 1) % epoch_len == 0:
+        if step >= warmup and (step + 1) % epoch_len == 0:
             stale = np.where(usage > 0, 0, stale + 1)
             dead = stale >= cfg.dead_code_epochs
             for m, t, k in zip(*np.nonzero(dead)):

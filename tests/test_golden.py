@@ -30,28 +30,28 @@ from stscq.trainer import TrainConfig, TrainReport, stage1, stage2, stage3
 
 GOLDEN = {
     "small": {
-        "pool1": "ee7f620a35d24c1ca6b95e57d2aab93bc43e78bfb9d70a47d1f83f2f31d00152",
-        "router1": "e82b51c8c82daa82c612c74728ef7fca3913f25555064a68278b9706cb21446e",
-        "pool2": "0598a582b7d0003ceb3551fcdaf8b1851e3cbed60be83cc5f8befae3984e89c8",
-        "router2": "d2599e64038e173614438db037e3f80ff519bd8e69f159357f181e679b1f8ca8",
-        "pca3": "207ca44af4678f58bb0bc9f664baae6b63b63bf8e1b08d4fdc5e83361557df71",
-        "curve_stage1": "98342f15f2c851384e6fab800f0c98fa76ebf77a21d2fba6ab261144a7a2c43a",
-        "curve_stage2": "d6daf5fdd07fdc6da900aa36cbfe11dae5a63f02d76fdec76972e69a58ef3b18",
-        "curve_stage3": "accbf0a582ae0677e789826b96a0bab53520f31984a5e2db742956950a5ba045",
+        "pool1": "3c2f5486312be8e36e1e7d0b3737bfb556d4ada268c35fa9465097f881227480",
+        "router1": "ec7911527252ab0ca8a58f15e8e4e94f7bfe8b211e5713a578f25ce61fc98b5d",
+        "pool2": "ec84e5ffb3f6ec3b2682d13edadfd7ba058a61eaf70cac3a84eb1460aa2641d3",
+        "router2": "32a0e0804f4a8a00d668671363d4b13afc959fe980f49dc169980d7e3579f91f",
+        "pca3": "1beaa2b3548a8d9228bf8cf3539594978a6c3b415f66ef9f3437b6921dab2496",
+        "curve_stage1": "f05ac689043c55af16fce389fadeedef41f4a0d6dbbbb32ad1593144d70a365f",
+        "curve_stage2": "6a15f258fc5b21252b3990e6ed7cd965da572d2a946bfdf634c76472aadef79d",
+        "curve_stage3": "bc875a990b4928276335d8ee6be6a703ace182a1d760253a8eae2606bb0e4504",
         "histogram": "d0a14371b81bac86548b4c128eb17b89590f69633592d506c7db83bb63918764",
-        "utilization": "d18bdbaaa511fd8d46d76381b2e7338752fc96249a1367e2e8357f14bcc2ebdf",
-        "stream": "0b989adc8bf23e89c6079d803ad48e55088f566b57d4d20c0d050ace881c8822",
+        "utilization": "33724600670d5f9cb71d40e1dda4512cbec0567efc1f9e7c39967f71cec341b1",
+        "stream": "c420f644594435452b97351e89d902b7dfe898a2e8c4865a657b89d36c0ed4d3",
     },
     "acceptance": {
-        "pool1": "55b697fb9acb25a2ca25d8f296902ce3fca40413e320688521865599bf5778d7",
-        "router1": "c1c33e75bd5124248ed0140a6f0bce9d74cfecc8ed50a6e81452510566749f73",
-        "pool2": "14909a08e9e9fe9949f253acad5b359d201142ff2c17209411636582e0ff3309",
-        "router2": "50b33efe0f54166e3e7095d8e59ceba4b7e7a3852f5c3497d23fff6c82ec413d",
-        "curve_stage1": "b9a29f291b161589fa4c06bd58a9557f8b555b72ce96f8cdb9ae7881efb6f3ee",
-        "curve_stage2": "88f3d29afec39e008220ce6d7492df6e2a5e4a739f17cbe4553ee52c31ce9147",
-        "histogram": "f83328a3a448d6261589f4c54286d14573268886da39f26f7c9bb91416b5f462",
+        "pool1": "aa1cd7779437ed9221ae1001ef6d889776df692342850e0c9feea69a6059d471",
+        "router1": "f2763dee31c0d1d471c7f3b16bd9cf67328af6fd44409f1baa3e89fe72a44aac",
+        "pool2": "8e9bd609d92da8cf22725b8376fa8fefea29ed5c807ec9c1526db5ef47036464",
+        "router2": "6295634f39050b06e662da2efcc365af48fad5e508c95a14c4a8f705e272f9e7",
+        "curve_stage1": "e386597f4110cf53f96ac2c3f51303001d526cc8008c93aaccfab44385c5eb1e",
+        "curve_stage2": "b3c4471918ce2360074e4c2a0328e0ac9da3549b0af350a7efad8efaa407c9ee",
+        "histogram": "77205dcc7388b97012781d7de9e2f0eaad525dda1edf7557d5b83362b4c0c6d6",
         "utilization": "d18bdbaaa511fd8d46d76381b2e7338752fc96249a1367e2e8357f14bcc2ebdf",
-        "stream": "0e55f0d6db980103949ba1969bcd54a19b4b223d6f67de6e40e161c5e4c17d36",
+        "stream": "bb537766d9504ea91bb36ff9524baf3f23e1909ac34f3d1d33c22fd44ba5b3f3",
     },
 }
 

@@ -11,6 +11,7 @@ from stscq.synth import ImageCorpusSpec, MixtureSpec, make_image_corpus, make_to
 from stscq.trainer import (
     TrainConfig,
     TrainReport,
+    init_stage1_pool,
     mean_latent_mse,
     stage1,
     stage2,
@@ -57,6 +58,16 @@ def test_stage1_single_group_is_online_kmeans(mixture):
     curve = report.loss_curves["stage1"]
     assert all(np.isfinite(curve))
     assert np.mean(curve[-20:]) < np.mean(curve[:20])
+
+
+def test_stage1_router_warmup_keeps_initial_codes(mixture):
+    # warm-up steps train only the router: no code moves and none is reset
+    tokens, _, _ = mixture
+    cfg = small_cfg(steps_stage1=50, router_warmup=50)
+    init = init_stage1_pool(tokens, cfg)
+    pool, _ = stage1(tokens, cfg)
+    for g0, g1 in zip(init.groups, pool.groups):
+        assert np.array_equal(g0.sub[0].codes, g1.sub[0].codes)
 
 
 def test_stage1_two_clusters_single_code_each():
