@@ -12,18 +12,13 @@ import struct
 from dataclasses import dataclass
 
 from .codebook import CodebookPool, bit_width
-from .errors import (
-    BadMagic,
-    HeaderMismatch,
-    NonZeroPadding,
-    RangeViolation,
-    Truncated,
-)
+from .errors import BadMagic, HeaderMismatch, LengthMismatch, NonZeroPadding, RangeViolation, Truncated
 from .quantizer import QuantizedImage
 
 STREAM_MAGIC = b"STSQ"
 STREAM_VERSION = 1
-_HEADER_FMT = "<BHIHHHB"  # version, M, K, T, width, height, channels
+_HEADER_FMT = "<BHIHHHB"
+_HEADER_FIELDS = ("version", "M", "K", "T", "width", "height", "channels")
 
 
 @dataclass
@@ -37,9 +32,11 @@ class StreamHeader:
     version: int = STREAM_VERSION
 
     def pack(self) -> bytes:
-        return STREAM_MAGIC + struct.pack(
-            _HEADER_FMT, self.version, self.M, self.K, self.T, self.width, self.height, self.channels
-        )
+        values = [getattr(self, name) for name in _HEADER_FIELDS]
+        for name, code, value in zip(_HEADER_FIELDS, _HEADER_FMT[1:], values):
+            if not 0 <= value < 1 << (8 * struct.calcsize(code)):
+                raise RangeViolation(f"header field {name}={value} does not fit in {code!r}")
+        return STREAM_MAGIC + struct.pack(_HEADER_FMT, *values)
 
     @classmethod
     def unpack(cls, raw: bytes) -> tuple["StreamHeader", int]:
@@ -144,7 +141,9 @@ def deserialize(data: bytes, pool: CodebookPool) -> QuantizedImage:
     payload = data[off:]
     if len(payload) < need:
         raise Truncated(f"payload has {len(payload)} bytes, need {need}")
-    r = BitReader(payload[:need])
+    if len(payload) > need:
+        raise LengthMismatch(f"{len(payload) - need} bytes after the {need}-byte payload")
+    r = BitReader(payload)
     group_index = r.read(bit_width(header.M))
     kb = bit_width(header.K)
     indices = [r.read(kb) for _ in range(header.T)]

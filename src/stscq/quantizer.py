@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup
-from .errors import DimensionMismatch, IndexOutOfRange, ShapeMismatch, UntrainedRouter
+from .errors import DimensionMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch, UntrainedRouter
 
 _CHUNK_BYTES = 1 << 22
 
@@ -30,6 +30,8 @@ def _tokens_2d(tokens) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise ShapeMismatch(f"expected (T, d) tokens, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise RangeViolation("tokens must be finite")
     return values
 
 

@@ -20,6 +20,7 @@ from .errors import (
     EmptyBatch,
     HeaderMismatch,
     LengthMismatch,
+    RangeViolation,
     ShapeMismatch,
     Truncated,
 )
@@ -91,6 +92,8 @@ def route_naive(tokens, pool: CodebookPool) -> int:
     values = np.asarray(getattr(tokens, "values", tokens), dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != pool.T or values.shape[1] != pool.d:
         raise ShapeMismatch(f"tokens {values.shape} vs pool (T={pool.T}, d={pool.d})")
+    if not np.isfinite(values).all():
+        raise RangeViolation("tokens must be finite")
     errs = group_errors(values, pool)[0]
     return int(errs.argmin())
 

@@ -16,6 +16,7 @@ from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup
 from stscq.errors import (
     BadMagic,
     HeaderMismatch,
+    LengthMismatch,
     NonZeroPadding,
     RangeViolation,
     Truncated,
@@ -101,6 +102,26 @@ def test_nonzero_padding_rejected():
     data[-1] |= 0x01
     with pytest.raises(NonZeroPadding):
         deserialize(bytes(data), pool)
+
+
+def test_trailing_bytes_rejected():
+    pool = make_pool(M=2, K=4, T=3)
+    data = serialize(QuantizedImage(1, [0, 1, 2]), header_for(pool))
+    for extra in (b"\x00", b"garbage"):
+        with pytest.raises(LengthMismatch):
+            deserialize(data + extra, pool)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("version", 256), ("M", 65536), ("K", 2**32), ("T", 65536), ("width", 70000),
+     ("height", 65536), ("channels", 256), ("width", -1)],
+)
+def test_header_fields_range_checked(field, value):
+    header = StreamHeader(M=2, K=4, T=3, width=32, height=32, channels=1)
+    setattr(header, field, value)
+    with pytest.raises(RangeViolation, match=field):
+        header.pack()
 
 
 def test_header_pool_mismatch_rejected():

@@ -118,6 +118,28 @@ def test_encode_decode_tokens_round_trip(tmp_path, trained):
     assert stream.read_bytes() == stream2.read_bytes()
 
 
+def test_encode_non_finite_tokens_is_data_error(tmp_path, trained, capsys):
+    tokens = np.zeros((4, 4))
+    tokens[1, 2] = np.nan
+    tok_path = tmp_path / "t.npy"
+    np.save(tok_path, tokens)
+    rc = run("encode", "--tokens", tok_path, "--pool", trained / "pool_stage2.pool",
+             "--out", tmp_path / "t.stscq")
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "t.stscq").exists()
+
+
+def test_encode_oversized_width_is_data_error(tmp_path, trained, capsys):
+    tok_path = tmp_path / "t.npy"
+    np.save(tok_path, np.zeros((4, 4)))
+    rc = run("encode", "--tokens", tok_path, "--pool", trained / "pool_stage2.pool",
+             "--out", tmp_path / "t.stscq", "--width", 70000)
+    assert rc == 3
+    assert "width" in capsys.readouterr().err
+    assert not (tmp_path / "t.stscq").exists()
+
+
 def test_encode_cr_policy(tmp_path, trained):
     tok_path = tmp_path / "t.npy"
     np.save(tok_path, np.random.default_rng(1).standard_normal((4, 4)))

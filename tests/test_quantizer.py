@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific
-from stscq.errors import DimensionMismatch, IndexOutOfRange, ShapeMismatch, UntrainedRouter
+from stscq.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    RangeViolation,
+    ShapeMismatch,
+    UntrainedRouter,
+)
 from stscq import quantizer
 from stscq.quantizer import (
     QuantizedImage,
@@ -132,6 +138,19 @@ def test_nearest_slicing_and_sharing_are_exact(monkeypatch):
     broadcast = np.broadcast_to(codes[:1], codes.shape)
     for got, want in zip(nearest(batch, broadcast), shared):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_tokens_rejected(bad):
+    # argmin over NaN errors used to pick group 0 and index 0 silently
+    rng = np.random.default_rng(14)
+    pool = random_pool(rng, M=3, T=4, K=5, d=2)
+    tokens = rng.standard_normal((4, 2))
+    tokens[2, 1] = bad
+    with pytest.raises(RangeViolation):
+        quantize_routed(tokens, pool, policy="nn")
+    with pytest.raises(RangeViolation):
+        quantize_group(tokens, pool.groups[0])
 
 
 def test_routed_single_group_always_zero():

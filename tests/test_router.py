@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup
-from stscq.errors import EmptyBatch, LengthMismatch, ShapeMismatch
+from stscq.errors import EmptyBatch, LengthMismatch, RangeViolation, ShapeMismatch
 from stscq.quantizer import quantize_group, quantize_routed
 from stscq.router import (
     RouterParams,
@@ -87,6 +87,14 @@ def test_route_naive_shape_check():
     pool = CodebookPool([TokenSpecificGroup([Codebook(np.zeros((2, 2)))] * 3)])
     with pytest.raises(ShapeMismatch):
         route_naive(np.zeros((2, 2)), pool)
+
+
+def test_route_naive_rejects_non_finite_tokens():
+    pool = CodebookPool([TokenSpecificGroup([Codebook(np.zeros((2, 2)))] * 3)] * 2)
+    tokens = np.zeros((3, 2))
+    tokens[0, 0] = np.nan
+    with pytest.raises(RangeViolation):
+        route_naive(tokens, pool)
 
 
 def test_loss_entropy_uniform_16():
