@@ -12,7 +12,14 @@ import struct
 from dataclasses import dataclass
 
 from .codebook import CodebookPool, bit_width
-from .errors import BadMagic, HeaderMismatch, LengthMismatch, NonZeroPadding, RangeViolation, Truncated
+from .errors import (
+    BadMagic,
+    HeaderMismatch,
+    LengthMismatch,
+    NonZeroPadding,
+    RangeViolation,
+    Truncated,
+)
 from .quantizer import QuantizedImage
 
 STREAM_MAGIC = b"STSQ"

@@ -13,6 +13,9 @@ import numpy as np
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup
 from .errors import DimensionMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch, UntrainedRouter
 
+# cap on nearest()'s difference temporary: an unsliced one is 16 MiB per group
+# at M16/T256/K1024/d8, and re-faulting its pages on every call cost more time
+# than taking tokens in slices
 _CHUNK_BYTES = 1 << 22
 
 
