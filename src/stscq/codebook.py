@@ -1,21 +1,33 @@
-"""Codebook containers: single codebooks, token-specific groups, switchable pools.
+"""Codebooks, switchable pools and the pool file.
 
-A pool holds M groups; each group holds T sub-codebooks of K codes of
-dimension d. A token-shared group is the same Codebook object referenced
-T times, so an update through any reference is seen by every token.
+A pool holds M switchable groups of K codes of dimension d for T token
+positions, stored as one float64 array of shape (M, T', K, d). T' = 1 gives
+each group one codebook that every token shares (stage 1); T' = T gives each
+token position its own (stage 2). `Codebook` is the single (K, d) codebook
+that k-means++ produces and `quantize_one` searches. `TokenSpecificGroup`
+is one group's (T', K, d) slice; it and `CodebookPool` also accept lists of
+Codebook / TokenSpecificGroup objects, where the same Codebook object at
+every token position means a shared codebook.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, HeaderMismatch, TooFewSamples, Truncated
+from .errors import BadMagic, HeaderMismatch, LengthMismatch, RangeViolation, TooFewSamples, Truncated
 
 POOL_MAGIC = b"STSCQPOOL"
 POOL_VERSION = 1
+_POOL_HEADER = struct.Struct("<BHHIHB")  # version, M, T, K, d, flag
+# flag byte -> (token_shared, frozen). 0 and 1 keep the meaning they had when
+# frozen was inferred as "not token-shared"; 2 and 3 are the other two states,
+# e.g. a stage-2 pool at T = 1, which is token-shared and frozen.
+_POOL_STATES = {0: (False, True), 1: (True, False), 2: (False, False), 3: (True, True)}
+_POOL_FLAGS = {state: flag for flag, state in _POOL_STATES.items()}
 
 
 def bit_width(n: int) -> int:
@@ -42,103 +54,99 @@ class Codebook:
     def d(self) -> int:
         return self.codes.shape[1]
 
-    @property
-    def bits(self) -> int:
-        return bit_width(self.K)
 
-    def copy(self) -> "Codebook":
-        return Codebook(self.codes.copy())
+def _check_codes(codes: np.ndarray, ndim: int, T: int) -> np.ndarray:
+    codes = np.asarray(codes, dtype=np.float64)
+    if codes.ndim != ndim or 0 in codes.shape or codes.shape[-3] not in (1, T):
+        raise ValueError(f"codes must be a non-empty {ndim}-d array with T' in (1, {T}), got {codes.shape}")
+    return codes
 
 
-@dataclass
 class TokenSpecificGroup:
-    sub: list[Codebook]  # length T; identical object T times when token-shared
+    """One switchable group: a (T', K, d) code array serving T tokens.
 
-    def __post_init__(self):
-        if not self.sub:
-            raise ValueError("group needs at least one sub-codebook")
-        K, d = self.sub[0].K, self.sub[0].d
-        for cb in self.sub:
-            if cb.K != K or cb.d != d:
-                raise ValueError("sub-codebooks must share K and d")
+    Built from that array and T, which it keeps without copying, or from a
+    list of T Codebooks, where the same object T times is one shared codebook.
+    """
 
-    @property
-    def T(self) -> int:
-        return len(self.sub)
+    def __init__(self, codes, T: int | None = None):
+        if isinstance(codes, list):
+            if not codes:
+                raise ValueError("group needs at least one sub-codebook")
+            first, T = codes[0], len(codes)
+            shared = all(cb is first for cb in codes)
+            codes = first.codes[None] if shared else np.stack([cb.codes for cb in codes])
+        self.T = codes.shape[0] if T is None else T
+        self.codes = _check_codes(codes, 3, self.T)
 
     @property
     def K(self) -> int:
-        return self.sub[0].K
+        return self.codes.shape[1]
 
     @property
     def d(self) -> int:
-        return self.sub[0].d
+        return self.codes.shape[2]
 
     @property
     def token_shared(self) -> bool:
-        first = self.sub[0]
-        return all(cb is first for cb in self.sub)
+        return self.codes.shape[0] == 1
+
+    @property
+    def sub(self) -> list[Codebook]:
+        """The T per-token codebooks as views; one object T times when shared."""
+        if self.token_shared:
+            return [Codebook(self.codes[0])] * self.T
+        return [Codebook(c) for c in self.codes]
 
     def codes_array(self) -> np.ndarray:
-        """Stacked (T, K, d) view of the sub-codebooks (copy-free when shared)."""
-        if self.token_shared:
-            return np.broadcast_to(self.sub[0].codes, (self.T, self.K, self.d))
-        return np.stack([cb.codes for cb in self.sub])
-
-    def copy(self) -> "TokenSpecificGroup":
-        if self.token_shared:
-            shared = self.sub[0].copy()
-            return TokenSpecificGroup([shared] * self.T)
-        return TokenSpecificGroup([cb.copy() for cb in self.sub])
+        """(T, K, d) view of the codes, broadcast when shared."""
+        return np.broadcast_to(self.codes, (self.T, self.K, self.d))
 
 
-@dataclass
 class CodebookPool:
-    groups: list[TokenSpecificGroup]
-    frozen: bool = False  # set after stage-2 training; stage 3 requires it
+    """M switchable groups as one (M, T', K, d) float64 array, `codes`.
 
-    def __post_init__(self):
-        if not self.groups:
-            raise ValueError("pool needs at least one group")
-        g0 = self.groups[0]
-        for g in self.groups:
-            if (g.T, g.K, g.d) != (g0.T, g0.K, g0.d):
+    T' = 1 gives each group one codebook shared by all T tokens (stage 1);
+    T' = T gives each token position its own (stage 2). `frozen` marks a
+    finished stage-2 pool: stage 3 requires it and stage 2 refuses it. Built
+    from that array and T, or from a list of TokenSpecificGroup.
+    """
+
+    def __init__(self, codes, frozen: bool = False, T: int | None = None):
+        if isinstance(codes, list):
+            if not codes:
+                raise ValueError("pool needs at least one group")
+            g0 = codes[0]
+            if any((g.T, g.K, g.d) != (g0.T, g0.K, g0.d) for g in codes):
                 raise ValueError("groups must share (T, K, d)")
+            groups, T = codes, g0.T
+            codes = np.empty((len(groups), 1 if all(g.token_shared for g in groups) else T, g0.K, g0.d))
+            for m, g in enumerate(groups):
+                codes[m] = g.codes  # a shared group broadcasts over T
+        self.T = codes.shape[1] if T is None else T
+        self.codes = _check_codes(codes, 4, self.T)
+        self.frozen = bool(frozen)
 
     @property
     def M(self) -> int:
-        return len(self.groups)
-
-    @property
-    def T(self) -> int:
-        return self.groups[0].T
+        return self.codes.shape[0]
 
     @property
     def K(self) -> int:
-        return self.groups[0].K
+        return self.codes.shape[2]
 
     @property
     def d(self) -> int:
-        return self.groups[0].d
+        return self.codes.shape[3]
 
     @property
     def token_shared(self) -> bool:
-        return all(g.token_shared for g in self.groups)
+        return self.codes.shape[1] == 1
 
     @property
-    def router_bits(self) -> int:
-        return bit_width(self.M)
-
-    @property
-    def index_bits(self) -> int:
-        return bit_width(self.K)
-
-    def bits_per_image(self) -> int:
-        """Payload bit count of one encoded image: T*ceil(log2 K) + ceil(log2 M)."""
-        return self.T * self.index_bits + self.router_bits
-
-    def copy(self) -> "CodebookPool":
-        return CodebookPool([g.copy() for g in self.groups], frozen=self.frozen)
+    def groups(self) -> list[TokenSpecificGroup]:
+        """Per-group views into `codes`."""
+        return [TokenSpecificGroup(c, self.T) for c in self.codes]
 
 
 @dataclass
@@ -199,12 +207,12 @@ def init_kmeanspp(samples: np.ndarray, K: int, seed: int, iters: int = 10) -> Co
 
 
 def derive_token_specific(shared: Codebook, T: int) -> TokenSpecificGroup:
-    """T independent deep copies of a shared codebook.
+    """T independent copies of a shared codebook.
 
     Immediately after derivation the group quantizes identically to the
     shared codebook; the copies may then diverge under per-token training.
     """
-    return TokenSpecificGroup([shared.copy() for _ in range(T)])
+    return TokenSpecificGroup(np.repeat(shared.codes[None], T, axis=0), T)
 
 
 def utilization(assignments: np.ndarray, K: int) -> UtilizationStats:
@@ -217,48 +225,36 @@ def utilization(assignments: np.ndarray, K: int) -> UtilizationStats:
 
 
 def save_pool(pool: CodebookPool, path) -> None:
+    shape = (pool.M, pool.T, pool.K, pool.d)
     with open(path, "wb") as f:
         f.write(POOL_MAGIC)
-        f.write(
-            struct.pack(
-                "<BHHIHB",
-                POOL_VERSION,
-                pool.M,
-                pool.T,
-                pool.K,
-                pool.d,
-                1 if pool.token_shared else 0,
-            )
-        )
-        for g in pool.groups:
-            f.write(np.ascontiguousarray(g.codes_array(), dtype="<f8").tobytes())
+        f.write(_POOL_HEADER.pack(POOL_VERSION, *shape, _POOL_FLAGS[pool.token_shared, pool.frozen]))
+        f.write(np.ascontiguousarray(np.broadcast_to(pool.codes, shape), dtype="<f8"))
 
 
 def load_pool(path) -> CodebookPool:
     with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(POOL_MAGIC)] != POOL_MAGIC:
-        raise BadMagic("not a pool file")
-    off = len(POOL_MAGIC)
-    try:
-        version, M, T, K, d, shared_flag = struct.unpack_from("<BHHIHB", raw, off)
-    except struct.error as e:
-        raise Truncated(str(e)) from None
-    if version != POOL_VERSION:
-        raise HeaderMismatch(f"unsupported pool version {version}")
-    off += struct.calcsize("<BHHIHB")
-    need = M * T * K * d * 8
-    if len(raw) - off < need:
-        raise Truncated("pool file shorter than declared shape")
-    data = np.frombuffer(raw, dtype="<f8", count=M * T * K * d, offset=off)
-    data = data.reshape(M, T, K, d)
-    groups = []
-    for i in range(M):
-        if shared_flag:
-            shared = Codebook(data[i, 0].copy())
-            groups.append(TokenSpecificGroup([shared] * T))
-        else:
-            groups.append(TokenSpecificGroup([Codebook(data[i, t].copy()) for t in range(T)]))
-    # token-specific sub-codebooks only exist after stage-2 refinement, at
-    # which point the pool is frozen; the file needs no separate flag
-    return CodebookPool(groups, frozen=not shared_flag)
+        head = f.read(len(POOL_MAGIC) + _POOL_HEADER.size)
+        if head[: len(POOL_MAGIC)] != POOL_MAGIC:
+            raise BadMagic("not a pool file")
+        if len(head) < len(POOL_MAGIC) + _POOL_HEADER.size:
+            raise Truncated("pool file shorter than its header")
+        version, M, T, K, d, flag = _POOL_HEADER.unpack_from(head, len(POOL_MAGIC))
+        if version != POOL_VERSION:
+            raise HeaderMismatch(f"unsupported pool version {version}")
+        if 0 in (M, T, K, d):
+            raise RangeViolation(f"pool shape (M={M}, T={T}, K={K}, d={d}) has an empty axis")
+        if flag not in _POOL_STATES:
+            raise HeaderMismatch(f"unknown pool flag byte {flag}")
+        remaining = os.fstat(f.fileno()).st_size - f.tell()
+        if remaining < M * T * K * d * 8:
+            raise Truncated("pool file shorter than declared shape")
+        if remaining > M * T * K * d * 8:
+            raise LengthMismatch(f"{remaining - M * T * K * d * 8} bytes after the pool's codes")
+        codes = np.fromfile(f, dtype="<f8", count=M * T * K * d).reshape(M, T, K, d)
+    shared, frozen = _POOL_STATES[flag]
+    if shared:  # the file repeats each group's one codebook T times; keep one
+        if not (codes == codes[:, :1]).all():
+            raise HeaderMismatch("token-shared pool file holds different codebooks per token")
+        codes = np.ascontiguousarray(codes[:, :1])
+    return CodebookPool(codes, frozen=frozen, T=T)

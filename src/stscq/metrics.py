@@ -140,15 +140,13 @@ def routing_histogram(
 
 def assignment_histograms_shared(corpus: np.ndarray, shared: Codebook, T: int) -> np.ndarray:
     """(T, K) index histograms of a token corpus under one shared codebook."""
-    group = TokenSpecificGroup([shared] * T)
-    return assignment_histograms_group(corpus, group)
+    return assignment_histograms_group(corpus, TokenSpecificGroup(shared.codes[None], T))
 
 
 def assignment_histograms_group(corpus: np.ndarray, group: TokenSpecificGroup) -> np.ndarray:
     hist = np.zeros((group.T, group.K), dtype=np.int64)
-    codes = group.codes_array()
     for tokens in np.asarray(corpus, dtype=np.float64):
-        hist[np.arange(group.T), nearest(tokens[None], codes)[0][0]] += 1
+        hist[np.arange(group.T), nearest(tokens[None], group.codes)[0][0]] += 1
     return hist
 
 

@@ -75,7 +75,7 @@ def quantize_group(tokens, g: TokenSpecificGroup) -> tuple[np.ndarray, float]:
         raise ShapeMismatch(f"{values.shape[0]} tokens vs group T={g.T}")
     if values.shape[1] != g.d:
         raise ShapeMismatch(f"token dim {values.shape[1]} vs codebook dim {g.d}")
-    indices, errors = nearest(values[None], g.codes_array())
+    indices, errors = nearest(values[None], g.codes)
     return indices[0].astype(np.int64), float(errors[0].sum())
 
 
@@ -84,7 +84,7 @@ def group_errors(batch: np.ndarray, pool: CodebookPool) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 2:
         batch = batch[None]
-    return np.stack([nearest(batch, g.codes_array())[1].sum(axis=1) for g in pool.groups], axis=1)
+    return np.stack([nearest(batch, codes)[1].sum(axis=1) for codes in pool.codes], axis=1)
 
 
 def quantize_routed(tokens, pool: CodebookPool, policy: str = "nn", router=None) -> QuantizedImage:
@@ -107,7 +107,7 @@ def quantize_routed(tokens, pool: CodebookPool, policy: str = "nn", router=None)
         gi, _ = route_learned(values, router)
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    indices, _ = quantize_group(values, pool.groups[gi])
+    indices, _ = quantize_group(values, TokenSpecificGroup(pool.codes[gi], pool.T))
     return QuantizedImage(group_index=gi, indices=indices)
 
 
@@ -115,9 +115,8 @@ def dequantize(q: QuantizedImage, pool: CodebookPool) -> np.ndarray:
     """Look the code vectors back up; returns a (T, d) token array."""
     if not 0 <= q.group_index < pool.M:
         raise IndexOutOfRange(f"group {q.group_index} outside [0, {pool.M})")
-    g = pool.groups[q.group_index]
-    if q.indices.shape != (g.T,):
-        raise IndexOutOfRange(f"expected {g.T} indices, got {q.indices.shape}")
-    if (q.indices < 0).any() or (q.indices >= g.K).any():
+    if q.indices.shape != (pool.T,):
+        raise IndexOutOfRange(f"expected {pool.T} indices, got {q.indices.shape}")
+    if (q.indices < 0).any() or (q.indices >= pool.K).any():
         raise IndexOutOfRange("code index outside [0, K)")
-    return g.codes_array()[np.arange(g.T), q.indices].astype(np.float64)
+    return pool.codes[q.group_index, np.arange(pool.T) % pool.codes.shape[1], q.indices]

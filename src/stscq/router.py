@@ -20,11 +20,10 @@ from .errors import (
     EmptyBatch,
     HeaderMismatch,
     LengthMismatch,
-    RangeViolation,
     ShapeMismatch,
     Truncated,
 )
-from .quantizer import group_errors
+from .quantizer import _tokens_2d, group_errors
 
 ROUTER_MAGIC = b"STSCQRTR"
 ROUTER_VERSION = 1
@@ -89,11 +88,9 @@ def router_probs(x: np.ndarray, p: RouterParams) -> np.ndarray:
 
 def route_naive(tokens, pool: CodebookPool) -> int:
     """argmin over groups of total quantization error; ties to lowest index."""
-    values = np.asarray(getattr(tokens, "values", tokens), dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != pool.T or values.shape[1] != pool.d:
+    values = _tokens_2d(tokens)
+    if values.shape != (pool.T, pool.d):
         raise ShapeMismatch(f"tokens {values.shape} vs pool (T={pool.T}, d={pool.d})")
-    if not np.isfinite(values).all():
-        raise RangeViolation("tokens must be finite")
     errs = group_errors(values, pool)[0]
     return int(errs.argmin())
 

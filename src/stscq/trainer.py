@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import Codebook, CodebookPool, TokenSpecificGroup, init_kmeanspp, utilization
+from .codebook import CodebookPool, init_kmeanspp, utilization
 from .errors import DivergenceDetected, StageOrderError, TooFewSamples
 from .latent import PcaTransform, encode, image_patches
 from .quantizer import dequantize, group_errors, nearest, quantize_routed
@@ -90,7 +90,7 @@ def init_stage1_pool(data: np.ndarray, cfg: TrainConfig) -> CodebookPool:
     pooled = data.mean(axis=1)
     cells = init_kmeanspp(pooled, cfg.M, seed=cfg.seed)
     assign = ((pooled[:, None, :] - cells.codes[None]) ** 2).sum(axis=2).argmin(axis=1)
-    groups = []
+    shared = []
     for i in range(cfg.M):
         shard = np.nonzero(assign == i)[0]
         if shard.size * cfg.T < cfg.K:
@@ -98,9 +98,8 @@ def init_stage1_pool(data: np.ndarray, cfg: TrainConfig) -> CodebookPool:
             extra = rng.choice(n, size=max(cfg.K // cfg.T + 1, 4), replace=False)
             shard = np.unique(np.concatenate([shard, extra]))
         flat = data[shard].reshape(-1, cfg.d)
-        shared = init_kmeanspp(flat, cfg.K, seed=cfg.seed * 1000 + i)
-        groups.append(TokenSpecificGroup([shared] * cfg.T))
-    return CodebookPool(groups)
+        shared.append(init_kmeanspp(flat, cfg.K, seed=cfg.seed * 1000 + i).codes)
+    return CodebookPool(np.stack(shared)[:, None], T=cfg.T)
 
 
 def _clip_grads(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -196,10 +195,9 @@ def stage1(
     if router is None:
         router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
     start = time.perf_counter()
-    shared = np.stack([g.sub[0].codes for g in pool.groups])[:, None]
-    codes, curve = _refine(data, shared, router, cfg, cfg.steps_stage1, cfg.router_warmup,
+    codes, curve = _refine(data, pool.codes[:, :1], router, cfg, cfg.steps_stage1, cfg.router_warmup,
                            np.random.default_rng(cfg.seed + 1), 1)
-    pool = CodebookPool([TokenSpecificGroup([Codebook(c[0])] * cfg.T) for c in codes])
+    pool = CodebookPool(codes, T=cfg.T)
     if report is not None:
         report.loss_curves["stage1"] = curve
         report.wall_clock += time.perf_counter() - start
@@ -215,15 +213,14 @@ def stage2(
 ) -> tuple[CodebookPool, RouterParams]:
     """Refine token-specific sub-codebooks derived from the stage-1 pool."""
     cfg.validate()
-    if not shared_pool.token_shared:
-        raise StageOrderError("stage 2 requires a token-shared stage-1 pool")
+    if not shared_pool.token_shared or shared_pool.frozen:
+        raise StageOrderError("stage 2 requires an unfrozen token-shared stage-1 pool")
     data = np.asarray(data, dtype=np.float64)
     router = router.copy()
     start = time.perf_counter()
-    shared = np.stack([g.sub[0].codes for g in shared_pool.groups])[:, None]
-    codes, curve = _refine(data, np.broadcast_to(shared, (cfg.M, cfg.T, cfg.K, cfg.d)), router,
+    codes, curve = _refine(data, np.broadcast_to(shared_pool.codes, (cfg.M, cfg.T, cfg.K, cfg.d)), router,
                            cfg, cfg.steps_stage2, 0, np.random.default_rng(cfg.seed + 2), 2)
-    pool = CodebookPool([TokenSpecificGroup([Codebook(c) for c in g]) for g in codes], frozen=True)
+    pool = CodebookPool(codes, frozen=True)
     if report is not None:
         report.loss_curves["stage2"] = curve
         report.wall_clock += time.perf_counter() - start

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from stscq.codebook import (
     save_pool,
     utilization,
 )
-from stscq.errors import TooFewSamples
+from stscq.errors import HeaderMismatch, LengthMismatch, RangeViolation, TooFewSamples
+from stscq.quantizer import dequantize, quantize_routed
 
 
 def test_bit_width_values():
@@ -114,14 +117,6 @@ def test_utilization_invariant_ordering():
     assert 0 <= stats.min <= stats.mean <= stats.max <= 100
 
 
-def test_pool_bits_per_image():
-    cb = Codebook(np.zeros((256, 2)))
-    pool = CodebookPool([TokenSpecificGroup([cb] * 128) for _ in range(256)])
-    assert pool.bits_per_image() == 128 * 8 + 8
-    single = CodebookPool([TokenSpecificGroup([Codebook(np.zeros((4096, 2)))] * 256)])
-    assert single.bits_per_image() == 256 * 12
-
-
 def test_token_shared_group_reference_semantics():
     cb = Codebook(np.zeros((3, 2)))
     group = TokenSpecificGroup([cb] * 5)
@@ -141,7 +136,7 @@ def test_pool_file_round_trip(tmp_path):
     save_pool(pool, path)
     loaded = load_pool(path)
     assert (loaded.M, loaded.T, loaded.K, loaded.d) == (3, 5, 4, 3)
-    assert not loaded.token_shared
+    assert not loaded.token_shared and not loaded.frozen
     for g1, g2 in zip(pool.groups, loaded.groups):
         assert np.array_equal(g1.codes_array(), g2.codes_array())
 
@@ -154,5 +149,66 @@ def test_pool_file_round_trip_token_shared(tmp_path):
     path = tmp_path / "p.pool"
     save_pool(pool, path)
     loaded = load_pool(path)
-    assert loaded.token_shared
+    assert loaded.token_shared and not loaded.frozen
     assert np.array_equal(loaded.groups[0].codes_array(), pool.groups[0].codes_array())
+
+
+# byte offset in the file (after the 9-byte magic) and struct format of each header field
+POOL_FIELDS = {"M": (10, "<H"), "T": (12, "<H"), "K": (14, "<I"), "d": (18, "<H"), "flag": (20, "<B")}
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("M", 0, RangeViolation),
+        ("T", 0, RangeViolation),
+        ("K", 0, RangeViolation),
+        ("d", 0, RangeViolation),
+        ("flag", 1, HeaderMismatch),  # shared, but the per-token copies differ
+        ("flag", 3, HeaderMismatch),
+        ("flag", 4, HeaderMismatch),
+        ("flag", 7, HeaderMismatch),
+        ("trailing", b"\0", LengthMismatch),
+    ],
+)
+def test_load_pool_rejects_malformed_file(tmp_path, field, value, error):
+    rng = np.random.default_rng(8)
+    groups = [TokenSpecificGroup([Codebook(rng.standard_normal((4, 2))) for _ in range(3)]) for _ in range(2)]
+    path = tmp_path / "p.pool"
+    save_pool(CodebookPool(groups, frozen=True), path)
+    raw = bytearray(path.read_bytes())
+    if field == "trailing":
+        raw += value
+    else:
+        struct.pack_into(POOL_FIELDS[field][1], raw, POOL_FIELDS[field][0], value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(error):
+        load_pool(path)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["T'=1", "T'=T"])
+def test_array_and_group_constructors_agree(tmp_path, shared):
+    rng = np.random.default_rng(7)
+    M, T, K, d = 3, 5, 4, 2
+    codes = rng.standard_normal((M, 1 if shared else T, K, d))
+    if shared:
+        groups = [TokenSpecificGroup([Codebook(c[0])] * T) for c in codes]
+    else:
+        groups = [TokenSpecificGroup([Codebook(cb) for cb in c]) for c in codes]
+    pools = [CodebookPool(codes, frozen=not shared, T=T), CodebookPool(groups, frozen=not shared)]
+
+    files = []
+    for i, pool in enumerate(pools):
+        assert pool.token_shared == shared
+        save_pool(pool, tmp_path / f"{i}.pool")
+        files.append((tmp_path / f"{i}.pool").read_bytes())
+        for m, g in enumerate(pool.groups):
+            assert np.shares_memory(g.codes_array(), pool.codes)
+            assert np.array_equal(g.codes_array(), np.broadcast_to(codes[m], (T, K, d)))
+    assert files[0] == files[1]
+
+    for tokens in rng.standard_normal((8, T, d)):
+        qa, qb = (quantize_routed(tokens, pool) for pool in pools)
+        assert qa.group_index == qb.group_index
+        assert np.array_equal(qa.indices, qb.indices)
+        assert np.array_equal(dequantize(qa, pools[0]), dequantize(qb, pools[1]))

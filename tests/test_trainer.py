@@ -128,6 +128,21 @@ def test_stage2_requires_token_shared_pool(mixture):
         stage2(tokens, pool2, router2, cfg)
 
 
+@pytest.mark.parametrize("T", [1, 4])
+def test_frozen_survives_save_load(mixture, tmp_path, T):
+    # at T = 1 a stage-2 pool is token-shared too, so the file must carry frozen itself
+    tokens = mixture[0][:, :T]
+    cfg = small_cfg(T=T, steps_stage1=60, steps_stage2=20, router_warmup=10)
+    pool1, router1 = stage1(tokens, cfg)
+    pool2, _ = stage2(tokens, pool1, router1, cfg)
+    for pool, frozen in ((pool1, False), (pool2, True)):
+        save_pool(pool, tmp_path / "p.pool")
+        loaded = load_pool(tmp_path / "p.pool")
+        assert (loaded.frozen, loaded.token_shared) == (frozen, pool.token_shared)
+    with pytest.raises(StageOrderError):
+        stage2(tokens, loaded, router1, cfg)
+
+
 def test_stage2_error_not_worse_than_stage1(mixture):
     tokens, _, _ = mixture
     cfg = small_cfg()
