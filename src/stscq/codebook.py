@@ -246,11 +246,11 @@ def load_pool(path) -> CodebookPool:
             raise RangeViolation(f"pool shape (M={M}, T={T}, K={K}, d={d}) has an empty axis")
         if flag not in _POOL_STATES:
             raise HeaderMismatch(f"unknown pool flag byte {flag}")
-        remaining = os.fstat(f.fileno()).st_size - f.tell()
-        if remaining < M * T * K * d * 8:
+        extra = os.fstat(f.fileno()).st_size - f.tell() - M * T * K * d * 8
+        if extra < 0:
             raise Truncated("pool file shorter than declared shape")
-        if remaining > M * T * K * d * 8:
-            raise LengthMismatch(f"{remaining - M * T * K * d * 8} bytes after the pool's codes")
+        if extra > 0:
+            raise LengthMismatch(f"{extra} bytes after the pool's codes")
         codes = np.fromfile(f, dtype="<f8", count=M * T * K * d).reshape(M, T, K, d)
     shared, frozen = _POOL_STATES[flag]
     if shared:  # the file repeats each group's one codebook T times; keep one

@@ -14,7 +14,7 @@ from stscq.codebook import (
     save_pool,
     utilization,
 )
-from stscq.errors import HeaderMismatch, LengthMismatch, RangeViolation, TooFewSamples
+from stscq.errors import HeaderMismatch, LengthMismatch, RangeViolation, TooFewSamples, Truncated
 from stscq.quantizer import dequantize, quantize_routed
 
 
@@ -168,7 +168,8 @@ POOL_FIELDS = {"M": (10, "<H"), "T": (12, "<H"), "K": (14, "<I"), "d": (18, "<H"
         ("flag", 3, HeaderMismatch),
         ("flag", 4, HeaderMismatch),
         ("flag", 7, HeaderMismatch),
-        ("trailing", b"\0", LengthMismatch),
+        ("length", 1, LengthMismatch),  # value: bytes added (+) or cut (-) at the end
+        ("length", -1, Truncated),
     ],
 )
 def test_load_pool_rejects_malformed_file(tmp_path, field, value, error):
@@ -177,8 +178,8 @@ def test_load_pool_rejects_malformed_file(tmp_path, field, value, error):
     path = tmp_path / "p.pool"
     save_pool(CodebookPool(groups, frozen=True), path)
     raw = bytearray(path.read_bytes())
-    if field == "trailing":
-        raw += value
+    if field == "length":
+        raw = raw + bytes(value) if value > 0 else raw[:value]
     else:
         struct.pack_into(POOL_FIELDS[field][1], raw, POOL_FIELDS[field][0], value)
     path.write_bytes(bytes(raw))
