@@ -11,21 +11,16 @@ import math
 import struct
 from dataclasses import dataclass
 
+from . import artifact
 from .codebook import CodebookPool, bit_width
-from .errors import (
-    BadMagic,
-    HeaderMismatch,
-    LengthMismatch,
-    NonZeroPadding,
-    RangeViolation,
-    Truncated,
-)
+from .errors import HeaderMismatch, LengthMismatch, NonZeroPadding, RangeViolation, Truncated
 from .quantizer import QuantizedImage
 
 STREAM_MAGIC = b"STSQ"
 STREAM_VERSION = 1
 _HEADER_FMT = "<BHIHHHB"
 _HEADER_FIELDS = ("version", "M", "K", "T", "width", "height", "channels")
+_HEADER_SIZE = len(STREAM_MAGIC) + struct.calcsize(_HEADER_FMT)
 
 
 @dataclass
@@ -39,24 +34,12 @@ class StreamHeader:
     version: int = STREAM_VERSION
 
     def pack(self) -> bytes:
-        values = [getattr(self, name) for name in _HEADER_FIELDS]
-        for name, code, value in zip(_HEADER_FIELDS, _HEADER_FMT[1:], values):
-            if not 0 <= value < 1 << (8 * struct.calcsize(code)):
-                raise RangeViolation(f"header field {name}={value} does not fit in {code!r}")
-        return STREAM_MAGIC + struct.pack(_HEADER_FMT, *values)
+        return artifact.pack_header(STREAM_MAGIC, _HEADER_FMT, {name: getattr(self, name) for name in _HEADER_FIELDS})
 
     @classmethod
     def unpack(cls, raw: bytes) -> tuple["StreamHeader", int]:
-        if raw[: len(STREAM_MAGIC)] != STREAM_MAGIC:
-            raise BadMagic("bad stream magic")
-        off = len(STREAM_MAGIC)
-        try:
-            version, M, K, T, width, height, channels = struct.unpack_from(_HEADER_FMT, raw, off)
-        except struct.error as e:
-            raise Truncated(str(e)) from None
-        if version != STREAM_VERSION:
-            raise HeaderMismatch(f"unsupported stream version {version}")
-        return cls(M=M, K=K, T=T, width=width, height=height, channels=channels, version=version), off + struct.calcsize(_HEADER_FMT)
+        fields = artifact.unpack_header(raw, STREAM_MAGIC, _HEADER_FMT, (STREAM_VERSION,))
+        return cls(**dict(zip(_HEADER_FIELDS, fields))), _HEADER_SIZE
 
 
 class BitWriter:
@@ -117,7 +100,7 @@ def bpp(T: int, K: int, M: int, width: int, height: int, include_header: bool = 
     """Bits per pixel of one encoded image; header excluded by default."""
     bits = payload_bits(T, K, M)
     if include_header:
-        bits += 8 * (len(STREAM_MAGIC) + struct.calcsize(_HEADER_FMT))
+        bits += 8 * _HEADER_SIZE
     return bits / (width * height)
 
 

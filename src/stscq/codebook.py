@@ -12,17 +12,16 @@ every token position means a shared codebook.
 
 from __future__ import annotations
 
-import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagic, HeaderMismatch, LengthMismatch, RangeViolation, TooFewSamples, Truncated
+from . import artifact
+from .errors import HeaderMismatch, TooFewSamples
 
 POOL_MAGIC = b"STSCQPOOL"
 POOL_VERSION = 1
-_POOL_HEADER = struct.Struct("<BHHIHB")  # version, M, T, K, d, flag
+_POOL_HEADER = "<BHHIHB"  # version, M, T, K, d, flag
 # flag byte -> (token_shared, frozen). 0 and 1 keep the meaning they had when
 # frozen was inferred as "not token-shared"; 2 and 3 are the other two states,
 # e.g. a stage-2 pool at T = 1, which is token-shared and frozen.
@@ -225,33 +224,21 @@ def utilization(assignments: np.ndarray, K: int) -> UtilizationStats:
 
 
 def save_pool(pool: CodebookPool, path) -> None:
-    shape = (pool.M, pool.T, pool.K, pool.d)
-    with open(path, "wb") as f:
-        f.write(POOL_MAGIC)
-        f.write(_POOL_HEADER.pack(POOL_VERSION, *shape, _POOL_FLAGS[pool.token_shared, pool.frozen]))
-        f.write(np.ascontiguousarray(np.broadcast_to(pool.codes, shape), dtype="<f8"))
+    M, T, K, d = shape = (pool.M, pool.T, pool.K, pool.d)
+    flag = _POOL_FLAGS[pool.token_shared, pool.frozen]
+    fields = {"version": POOL_VERSION, "M": M, "T": T, "K": K, "d": d, "flag": flag}
+    artifact.write(path, POOL_MAGIC, _POOL_HEADER, fields, [np.broadcast_to(pool.codes, shape)])
+
+
+def _pool_shapes(version, M, T, K, d, flag):
+    if flag not in _POOL_STATES:
+        raise HeaderMismatch(f"unknown pool flag byte {flag}")
+    return [(M, T, K, d)]
 
 
 def load_pool(path) -> CodebookPool:
-    with open(path, "rb") as f:
-        head = f.read(len(POOL_MAGIC) + _POOL_HEADER.size)
-        if head[: len(POOL_MAGIC)] != POOL_MAGIC:
-            raise BadMagic("not a pool file")
-        if len(head) < len(POOL_MAGIC) + _POOL_HEADER.size:
-            raise Truncated("pool file shorter than its header")
-        version, M, T, K, d, flag = _POOL_HEADER.unpack_from(head, len(POOL_MAGIC))
-        if version != POOL_VERSION:
-            raise HeaderMismatch(f"unsupported pool version {version}")
-        if 0 in (M, T, K, d):
-            raise RangeViolation(f"pool shape (M={M}, T={T}, K={K}, d={d}) has an empty axis")
-        if flag not in _POOL_STATES:
-            raise HeaderMismatch(f"unknown pool flag byte {flag}")
-        extra = os.fstat(f.fileno()).st_size - f.tell() - M * T * K * d * 8
-        if extra < 0:
-            raise Truncated("pool file shorter than declared shape")
-        if extra > 0:
-            raise LengthMismatch(f"{extra} bytes after the pool's codes")
-        codes = np.fromfile(f, dtype="<f8", count=M * T * K * d).reshape(M, T, K, d)
+    fields, (codes,) = artifact.read(path, POOL_MAGIC, _POOL_HEADER, (POOL_VERSION,), _pool_shapes)
+    _, _, T, _, _, flag = fields
     shared, frozen = _POOL_STATES[flag]
     if shared:  # the file repeats each group's one codebook T times; keep one
         if not (codes == codes[:, :1]).all():

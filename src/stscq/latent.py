@@ -9,11 +9,11 @@ optionally refit later (stage 3) while the encoder stays frozen.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
 from .errors import (
     BadMagic,
     DimensionTooLarge,
@@ -28,6 +28,7 @@ PCA_MAGIC = b"STSCQPCA"
 # version 1: encoder only (mean + basis); version 2 appends a refit decoder map
 PCA_VERSION_ENC = 1
 PCA_VERSION_DEC = 2
+_PCA_HEADER = "<BHBH"  # version, patch_size, channels, d
 
 
 @dataclass
@@ -239,51 +240,19 @@ def write_pnm(img: ImageBuffer, path) -> None:
 
 
 def save_pca(t: PcaTransform, path) -> None:
-    version = PCA_VERSION_DEC if t.decoder is not None else PCA_VERSION_ENC
-    with open(path, "wb") as f:
-        f.write(PCA_MAGIC)
-        f.write(struct.pack("<BHBH", version, t.patch_size, t.channels, t.d))
-        f.write(np.ascontiguousarray(t.mean, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(t.basis, dtype="<f8").tobytes())
-        if t.decoder is not None:
-            f.write(np.ascontiguousarray(t.decoder, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(t.decoder_mean, dtype="<f8").tobytes())
+    version = PCA_VERSION_ENC if t.decoder is None else PCA_VERSION_DEC
+    decoder = [] if t.decoder is None else [t.decoder, t.decoder_mean]
+    fields = {"version": version, "patch_size": t.patch_size, "channels": t.channels, "d": t.d}
+    artifact.write(path, PCA_MAGIC, _PCA_HEADER, fields, [t.mean, t.basis, *decoder])
+
+
+def _pca_shapes(version, patch_size, channels, d):
+    p = patch_size * patch_size * channels
+    return [(p,), (d, p)] + ([(d, p), (p,)] if version == PCA_VERSION_DEC else [])
 
 
 def load_pca(path) -> PcaTransform:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(PCA_MAGIC)] != PCA_MAGIC:
-        raise BadMagic("not a pca file")
-    off = len(PCA_MAGIC)
-    try:
-        version, patch_size, channels, d = struct.unpack_from("<BHBH", raw, off)
-    except struct.error as e:
-        raise Truncated(str(e)) from None
-    if version not in (PCA_VERSION_ENC, PCA_VERSION_DEC):
-        raise HeaderMismatch(f"unsupported pca version {version}")
-    off += struct.calcsize("<BHBH")
-    p = patch_size * patch_size * channels
-
-    def take(count):
-        nonlocal off
-        if len(raw) - off < 8 * count:
-            raise Truncated("pca file shorter than declared shape")
-        out = np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy()
-        off += 8 * count
-        return out
-
-    mean = take(p)
-    basis = take(d * p).reshape(d, p)
-    decoder = decoder_mean = None
-    if version == PCA_VERSION_DEC:
-        decoder = take(d * p).reshape(d, p)
-        decoder_mean = take(p)
-    return PcaTransform(
-        patch_size=patch_size,
-        channels=channels,
-        mean=mean,
-        basis=basis,
-        decoder=decoder,
-        decoder_mean=decoder_mean,
+    (_, patch_size, channels, _), arrays = artifact.read(
+        path, PCA_MAGIC, _PCA_HEADER, (PCA_VERSION_ENC, PCA_VERSION_DEC), _pca_shapes
     )
+    return PcaTransform(patch_size, channels, *arrays)

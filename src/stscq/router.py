@@ -8,25 +8,18 @@ weights under the NN policy.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
 from .codebook import CodebookPool
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    EmptyBatch,
-    HeaderMismatch,
-    LengthMismatch,
-    ShapeMismatch,
-    Truncated,
-)
+from .errors import DimensionMismatch, EmptyBatch, LengthMismatch, ShapeMismatch
 from .quantizer import _tokens_2d, group_errors
 
 ROUTER_MAGIC = b"STSCQRTR"
 ROUTER_VERSION = 1
+_ROUTER_HEADER = "<BHHH"  # version, d, h, M
 
 _LOG_FLOOR = 1e-12
 
@@ -194,36 +187,12 @@ def router_loss_and_grads(
 
 
 def save_router(p: RouterParams, path) -> None:
-    with open(path, "wb") as f:
-        f.write(ROUTER_MAGIC)
-        f.write(struct.pack("<BHHH", ROUTER_VERSION, p.d, p.h, p.M))
-        for arr in (p.W1, p.b1, p.W2, p.b2):
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    fields = {"version": ROUTER_VERSION, "d": p.d, "h": p.h, "M": p.M}
+    artifact.write(path, ROUTER_MAGIC, _ROUTER_HEADER, fields, (p.W1, p.b1, p.W2, p.b2))
 
 
 def load_router(path) -> RouterParams:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[: len(ROUTER_MAGIC)] != ROUTER_MAGIC:
-        raise BadMagic("not a router file")
-    off = len(ROUTER_MAGIC)
-    try:
-        version, d, h, M = struct.unpack_from("<BHHH", raw, off)
-    except struct.error as err:
-        raise Truncated(str(err)) from None
-    if version != ROUTER_VERSION:
-        raise HeaderMismatch(f"unsupported router version {version}")
-    off += struct.calcsize("<BHHH")
-    counts = [h * d, h, M * h, M]
-    if len(raw) - off < 8 * sum(counts):
-        raise Truncated("router file shorter than declared shape")
-    arrays = []
-    for count in counts:
-        arrays.append(np.frombuffer(raw, dtype="<f8", count=count, offset=off).copy())
-        off += 8 * count
-    return RouterParams(
-        W1=arrays[0].reshape(h, d),
-        b1=arrays[1],
-        W2=arrays[2].reshape(M, h),
-        b2=arrays[3],
+    _, arrays = artifact.read(
+        path, ROUTER_MAGIC, _ROUTER_HEADER, (ROUTER_VERSION,), lambda version, d, h, M: [(h, d), (h,), (M, h), (M,)]
     )
+    return RouterParams(*arrays)

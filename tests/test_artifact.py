@@ -1,0 +1,93 @@
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stscq.bitstream import StreamHeader, deserialize, serialize
+from stscq.codebook import POOL_MAGIC, CodebookPool, load_pool, save_pool
+from stscq.errors import RangeViolation, StscqError, Truncated
+from stscq.latent import PcaTransform, load_pca, save_pca
+from stscq.quantizer import QuantizedImage
+from stscq.router import init_router, load_router, save_router
+
+
+@pytest.mark.parametrize(
+    "save, obj",
+    [
+        (save_pool, CodebookPool(np.zeros((1, 1, 1, 1)), T=70000)),
+        (save_router, init_router(d=1, M=1, h=70000)),
+        (save_pca, PcaTransform(1, 300, np.zeros(300), np.zeros((1, 300)))),
+    ],
+    ids=["pool-T", "rtr-h", "pca-channels"],
+)
+def test_savers_range_check_header_before_writing(tmp_path, save, obj):
+    path = tmp_path / "artifact"
+    with pytest.raises(RangeViolation):
+        save(obj, path)
+    assert not path.exists()
+
+
+def test_header_at_its_maximum_is_truncated_not_overflowed(tmp_path):
+    # M·T·K·d·8 is about 2**99 here; an int64 size would wrap
+    path = tmp_path / "max.pool"
+    path.write_bytes(POOL_MAGIC + struct.pack("<BHHIHB", 1, 2**16 - 1, 2**16 - 1, 2**32 - 1, 2**16 - 1, 0))
+    with pytest.raises(Truncated):
+        load_pool(path)
+
+
+_rng = np.random.default_rng(3)
+FUZZ_POOL = CodebookPool(_rng.standard_normal((2, 3, 4, 2)), frozen=True, T=3)
+
+
+def _load_stream(path):
+    raw = path.read_bytes()
+    return StreamHeader.unpack(raw)[0], deserialize(raw, FUZZ_POOL)
+
+
+def _save_stream(stream, path):
+    path.write_bytes(serialize(stream[1], stream[0]))
+
+
+# kind -> (object, saver, loader); the v2 PCA file carries all four arrays
+FUZZ_FORMATS = {
+    "pool": (FUZZ_POOL, save_pool, load_pool),
+    "rtr": (init_router(d=2, M=3, h=4, seed=4), save_router, load_router),
+    "pca": (PcaTransform(2, 1, _rng.standard_normal(4), *_rng.standard_normal((2, 3, 4)), _rng.standard_normal(4)), save_pca, load_pca),
+    "stream": (
+        (StreamHeader(M=2, K=4, T=3, width=8, height=8, channels=1), QuantizedImage(1, [3, 0, 2])),
+        _save_stream,
+        _load_stream,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("kind", list(FUZZ_FORMATS))
+@settings(deadline=None, derandomize=True, max_examples=300)
+# half of the positions fall in the first 24 bytes, where the magic and header are
+@given(edit=st.sampled_from(["none", "cut", "flip"]), at=st.integers(0, 8 * 24) | st.integers(0, 2**16))
+def test_loaders_survive_truncation_and_bit_flips(fuzz_dir, kind, edit, at):
+    """A cut or a single flipped bit either raises StscqError or loads what saving writes back exactly."""
+    obj, save, load = FUZZ_FORMATS[kind]
+    path = fuzz_dir / kind
+    save(obj, path)
+    raw = bytearray(path.read_bytes())
+    if edit == "cut":
+        del raw[at % len(raw) :]
+    elif edit == "flip":
+        at %= 8 * len(raw)
+        raw[at // 8] ^= 1 << (at % 8)
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = load(path)
+    except StscqError:
+        assert edit != "none"
+        return
+    save(loaded, path)
+    assert path.read_bytes() == raw

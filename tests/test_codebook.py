@@ -15,7 +15,9 @@ from stscq.codebook import (
     utilization,
 )
 from stscq.errors import HeaderMismatch, LengthMismatch, RangeViolation, TooFewSamples, Truncated
+from stscq.latent import PcaTransform, load_pca, save_pca
 from stscq.quantizer import dequantize, quantize_routed
+from stscq.router import init_router, load_router, save_router
 
 
 def test_bit_width_values():
@@ -153,38 +155,74 @@ def test_pool_file_round_trip_token_shared(tmp_path):
     assert np.array_equal(loaded.groups[0].codes_array(), pool.groups[0].codes_array())
 
 
-# byte offset in the file (after the 9-byte magic) and struct format of each header field
-POOL_FIELDS = {"M": (10, "<H"), "T": (12, "<H"), "K": (14, "<I"), "d": (18, "<H"), "flag": (20, "<B")}
+def _save_artifact(kind, path):
+    """Save a small pool, router or PCA transform to `path`; return its loader."""
+    rng = np.random.default_rng(8)
+    if kind == "pool":
+        groups = [TokenSpecificGroup([Codebook(rng.standard_normal((4, 2))) for _ in range(3)]) for _ in range(2)]
+        save_pool(CodebookPool(groups, frozen=True), path)
+        return load_pool
+    if kind == "rtr":
+        save_router(init_router(d=2, M=3, h=4, seed=8), path)
+        return load_router
+    save_pca(PcaTransform(2, 1, rng.standard_normal(4), rng.standard_normal((3, 4))), path)
+    return load_pca
+
+
+# byte offset of each header field from the start of the file, and its struct format
+HEADER_FIELDS = {
+    "pool": {"version": (9, "<B"), "M": (10, "<H"), "T": (12, "<H"), "K": (14, "<I"), "d": (18, "<H"), "flag": (20, "<B")},
+    "rtr": {"version": (8, "<B"), "d": (9, "<H"), "h": (11, "<H"), "M": (13, "<H")},
+    "pca": {"version": (8, "<B"), "patch_size": (9, "<H"), "channels": (11, "<B"), "d": (12, "<H")},
+}
+
+
+def _malformed(kind, field, value, error):
+    case = f"{field}-{value}-{error.__name__}"
+    return pytest.param(kind, field, value, error, id=case if kind == "pool" else f"{kind}-{case}")
 
 
 @pytest.mark.parametrize(
-    "field, value, error",
+    "kind, field, value, error",
     [
-        ("M", 0, RangeViolation),
-        ("T", 0, RangeViolation),
-        ("K", 0, RangeViolation),
-        ("d", 0, RangeViolation),
-        ("flag", 1, HeaderMismatch),  # shared, but the per-token copies differ
-        ("flag", 3, HeaderMismatch),
-        ("flag", 4, HeaderMismatch),
-        ("flag", 7, HeaderMismatch),
-        ("length", 1, LengthMismatch),  # value: bytes added (+) or cut (-) at the end
-        ("length", -1, Truncated),
+        _malformed("pool", "M", 0, RangeViolation),
+        _malformed("pool", "T", 0, RangeViolation),
+        _malformed("pool", "K", 0, RangeViolation),
+        _malformed("pool", "d", 0, RangeViolation),
+        _malformed("pool", "flag", 1, HeaderMismatch),  # shared, but the per-token copies differ
+        _malformed("pool", "flag", 3, HeaderMismatch),
+        _malformed("pool", "flag", 4, HeaderMismatch),
+        _malformed("pool", "flag", 7, HeaderMismatch),
+        _malformed("pool", "length", 1, LengthMismatch),  # value: bytes added (+) or cut (-) at the end
+        _malformed("pool", "length", -1, Truncated),
+        _malformed("pool", "version", 2, HeaderMismatch),
+        _malformed("rtr", "M", 0, RangeViolation),
+        _malformed("rtr", "d", 0, RangeViolation),
+        _malformed("rtr", "h", 0, RangeViolation),
+        _malformed("rtr", "length", 8, LengthMismatch),
+        _malformed("rtr", "length", -1, Truncated),
+        _malformed("rtr", "version", 2, HeaderMismatch),
+        _malformed("pca", "d", 0, RangeViolation),
+        _malformed("pca", "patch_size", 0, RangeViolation),
+        _malformed("pca", "channels", 0, RangeViolation),
+        _malformed("pca", "length", 8, LengthMismatch),
+        _malformed("pca", "length", -1, Truncated),
+        _malformed("pca", "version", 3, HeaderMismatch),
     ],
 )
-def test_load_pool_rejects_malformed_file(tmp_path, field, value, error):
-    rng = np.random.default_rng(8)
-    groups = [TokenSpecificGroup([Codebook(rng.standard_normal((4, 2))) for _ in range(3)]) for _ in range(2)]
-    path = tmp_path / "p.pool"
-    save_pool(CodebookPool(groups, frozen=True), path)
+def test_load_pool_rejects_malformed_file(tmp_path, kind, field, value, error):
+    """The pool, router and PCA loaders reject the same malformed headers and lengths."""
+    path = tmp_path / f"a.{kind}"
+    load = _save_artifact(kind, path)
     raw = bytearray(path.read_bytes())
     if field == "length":
         raw = raw + bytes(value) if value > 0 else raw[:value]
     else:
-        struct.pack_into(POOL_FIELDS[field][1], raw, POOL_FIELDS[field][0], value)
+        offset, fmt = HEADER_FIELDS[kind][field]
+        struct.pack_into(fmt, raw, offset, value)
     path.write_bytes(bytes(raw))
     with pytest.raises(error):
-        load_pool(path)
+        load(path)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["T'=1", "T'=T"])
