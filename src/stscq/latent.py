@@ -9,6 +9,7 @@ optionally refit later (stage 3) while the encoder stays frozen.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,35 +188,27 @@ def decode(tokens, t: PcaTransform, width: int, height: int) -> ImageBuffer:
 # --- portable pixmap IO (binary PGM/PPM, maxval 255) ---
 
 
+# magic, width, height and maxval, separated by whitespace and '#' comments,
+# then one whitespace byte before the pixels
+_PNM_HEADER = re.compile(rb"(P[56])" + rb"(?:\s|#[^\n]*\n)+(\d+)" * 3 + rb"\s")
+
+
 def read_pnm(path) -> ImageBuffer:
     with open(path, "rb") as f:
         raw = f.read()
-
-    def tokens():
-        i = 0
-        while i < len(raw):
-            if raw[i : i + 1].isspace():
-                i += 1
-            elif raw[i : i + 1] == b"#":
-                while i < len(raw) and raw[i : i + 1] != b"\n":
-                    i += 1
-            else:
-                j = i
-                while j < len(raw) and not raw[j : j + 1].isspace():
-                    j += 1
-                yield raw[i:j], j
-                i = j
-
-    it = tokens()
-    magic, _ = next(it)
-    if magic not in (b"P5", b"P6"):
-        raise BadMagic(f"unsupported pnm magic {magic!r}")
-    (w, _), (h, _), (maxval, end) = (next(it) for _ in range(3))
-    width, height, maxval = int(w), int(h), int(maxval)
+    header = _PNM_HEADER.match(raw)
+    if header is None:
+        if not raw:
+            raise Truncated("empty pnm file")
+        if raw[:2] not in (b"P5", b"P6"):
+            raise BadMagic(f"unsupported pnm magic {raw[:2]!r}")
+        raise HeaderMismatch("pnm header is not 'P5|P6 width height maxval'")
+    magic, *fields = header.groups()
+    width, height, maxval = map(int, fields)
     if maxval != 255:
         raise HeaderMismatch("only maxval 255 supported")
     channels = 1 if magic == b"P5" else 3
-    start = end + 1  # single whitespace byte after maxval
+    start = header.end()
     need = width * height * channels
     if len(raw) - start < need:
         raise Truncated("pixel data shorter than header promises")
@@ -247,6 +240,8 @@ def save_pca(t: PcaTransform, path) -> None:
 
 
 def _pca_shapes(version, patch_size, channels, d):
+    if channels not in (0, 1, 3):  # 0 is an empty axis, which artifact.read rejects
+        raise HeaderMismatch(f"pca channels must be 1 or 3, not {channels}")
     p = patch_size * patch_size * channels
     return [(p,), (d, p)] + ([(d, p), (p,)] if version == PCA_VERSION_DEC else [])
 

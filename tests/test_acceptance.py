@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from stscq.bitstream import BitReader, BitWriter, StreamHeader, bpp, deserialize, payload_bits, serialize
+from stscq.bitstream import StreamHeader, bpp, deserialize, payload_bits, serialize
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, bit_width, init_kmeanspp
 from stscq.latent import encode, fit_pca
 from stscq.metrics import compare_utilization

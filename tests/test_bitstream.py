@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stscq.bitstream import (
@@ -137,6 +137,46 @@ def test_out_of_range_indices_rejected():
         serialize(QuantizedImage(2, [0, 0, 0]), header_for(pool))
     with pytest.raises(RangeViolation):
         serialize(QuantizedImage(0, [0, 4, 0]), header_for(pool))
+    # M=3, K=5, T=2 is 2 + 2*3 = 8 payload bits; 0xFF decodes as group 3,
+    # indices [7, 7] and 0x28 as group 0, indices [5, 0]
+    pool = make_pool(M=3, K=5, T=2)
+    for payload in (b"\xff", b"\x28"):
+        with pytest.raises(RangeViolation):
+            deserialize(header_for(pool).pack() + payload, pool)
+
+
+def _bits(value, choices):
+    """`value` as an MSB-first string of ceil(log2 choices) bits; empty for one choice."""
+    width = math.ceil(math.log2(choices))
+    return format(value, f"0{width}b") if width else ""
+
+
+@st.composite
+def _fields(draw):
+    M = draw(st.integers(1, 2**16 - 1))
+    K = draw(st.integers(1, 2**32 - 1))
+    T = draw(st.integers(1, 300))
+    return M, K, T, draw(st.integers(0, M - 1)), draw(st.lists(st.integers(0, K - 1), min_size=T, max_size=T))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fields())
+@example((1, 1, 1, 0, [0]))
+@example((1, 2**32 - 1, 300, 0, [2**32 - 2] * 300))
+@example((2**16 - 1, 1, 300, 2**16 - 2, [0] * 300))
+@example((3, 5, 7, 2, [4, 0, 1, 2, 3, 4, 0]))
+def test_payload_matches_bit_string_oracle(fields):
+    """The payload is the group and index fields as MSB-first bit strings, zero-padded."""
+    M, K, T, group, indices = fields
+    bits = _bits(group, M) + "".join(_bits(i, K) for i in indices)
+    bits += "0" * (-len(bits) % 8)
+    oracle = bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
+    pool = CodebookPool(np.broadcast_to(np.zeros(()), (M, 1, K, 1)), T=T)
+    header = header_for(pool)
+    assert serialize(QuantizedImage(group, indices), header)[HEADER_LEN:] == oracle
+    q = deserialize(header.pack() + oracle, pool)
+    assert q.group_index == group
+    assert q.indices.tolist() == indices
 
 
 def test_payload_bit_formula_grid():

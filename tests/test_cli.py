@@ -140,6 +140,36 @@ def test_encode_oversized_width_is_data_error(tmp_path, trained, capsys):
     assert not (tmp_path / "t.stscq").exists()
 
 
+@pytest.mark.parametrize(
+    "raw", [b"", b"P5\n4 4\n", b"P5\nab 4\n255\n"], ids=["empty", "no-maxval", "non-numeric"]
+)
+def test_encode_malformed_pnm_is_data_error(tmp_path, trained, capsys, raw):
+    from stscq.latent import PcaTransform, save_pca
+
+    save_pca(PcaTransform(2, 1, np.zeros(4), np.eye(4)), tmp_path / "p.pca")
+    (tmp_path / "bad.pgm").write_bytes(raw)
+    rc = run("encode", "--image", tmp_path / "bad.pgm", "--pca", tmp_path / "p.pca",
+             "--pool", trained / "pool_stage2.pool", "--out", tmp_path / "i.stscq")
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "i.stscq").exists()
+
+
+def test_decode_with_two_channel_pca_is_data_error(tmp_path, trained):
+    from stscq.latent import PcaTransform, save_pca
+
+    np.save(tmp_path / "t.npy", np.zeros((4, 4)))
+    stream = tmp_path / "t.stscq"
+    rc = run("encode", "--tokens", tmp_path / "t.npy", "--pool", trained / "pool_stage2.pool",
+             "--out", stream, "--width", 4, "--height", 4)
+    assert rc == 0
+    save_pca(PcaTransform(2, 2, np.zeros(8), np.zeros((4, 8))), tmp_path / "p.pca")
+    rc = run("decode", "--stream", stream, "--pool", trained / "pool_stage2.pool",
+             "--pca", tmp_path / "p.pca", "--out", tmp_path / "r.pgm")
+    assert rc == 3
+    assert not (tmp_path / "r.pgm").exists()
+
+
 def test_encode_cr_policy(tmp_path, trained):
     tok_path = tmp_path / "t.npy"
     np.save(tok_path, np.random.default_rng(1).standard_normal((4, 4)))

@@ -205,6 +205,7 @@ def _malformed(kind, field, value, error):
         _malformed("pca", "d", 0, RangeViolation),
         _malformed("pca", "patch_size", 0, RangeViolation),
         _malformed("pca", "channels", 0, RangeViolation),
+        _malformed("pca", "channels", 2, HeaderMismatch),
         _malformed("pca", "length", 8, LengthMismatch),
         _malformed("pca", "length", -1, Truncated),
         _malformed("pca", "version", 3, HeaderMismatch),

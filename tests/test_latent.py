@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from stscq.errors import DimensionTooLarge, EmptyCorpus, NonDivisibleImage, ShapeMismatch
+from stscq.errors import (
+    BadMagic,
+    DimensionTooLarge,
+    EmptyCorpus,
+    HeaderMismatch,
+    NonDivisibleImage,
+    ShapeMismatch,
+    Truncated,
+)
 from stscq.latent import (
     ImageBuffer,
     PcaTransform,
@@ -153,6 +161,33 @@ def test_pnm_round_trip(tmp_path):
         assert (back.width, back.height, back.channels) == (12, 8, channels)
         # 8-bit quantization bound
         assert np.abs(back.data - img.data).max() <= 0.5 / 255 + 1e-9
+
+
+def test_read_pnm_skips_header_comments(tmp_path):
+    path = tmp_path / "c.pgm"
+    path.write_bytes(b"P5 # a comment\n#another\n 2\t1 255\n\x00\xff")
+    img = read_pnm(path)
+    assert (img.width, img.height, img.channels) == (2, 1, 1)
+    assert img.data.ravel().tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "raw, error",
+    [
+        (b"", Truncated),
+        (b"P5\n4 4\n", HeaderMismatch),
+        (b"P5\nab 4\n255\n", HeaderMismatch),
+        (b"P5\n4 4\n255\n" + bytes(15), Truncated),
+        (b"P5\n4 4\n65535\n" + bytes(32), HeaderMismatch),
+        (b"P3\n1 1\n255\n\x00", BadMagic),
+    ],
+    ids=["empty", "no-maxval", "non-numeric", "short-pixels", "maxval", "magic"],
+)
+def test_read_pnm_rejects_malformed_file(tmp_path, raw, error):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(raw)
+    with pytest.raises(error):
+        read_pnm(path)
 
 
 def test_pca_file_round_trip(tmp_path):
