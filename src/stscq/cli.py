@@ -17,9 +17,9 @@ import numpy as np
 
 from . import bitstream, synth
 from .codebook import load_pool, save_pool
-from .errors import BadSpec, DivergenceDetected, StscqError
+from .errors import BadSpec, DivergenceDetected, HeaderMismatch, StscqError
 from .latent import encode as pca_encode
-from .latent import fit_pca, load_pca, read_pnm, save_pca, write_pnm
+from .latent import fit_pca, load_pca, read_pnm, save_pca, token_count, write_pnm
 from .metrics import (
     eval_rd,
     eval_rd_tokens,
@@ -175,6 +175,11 @@ def cmd_decode(args) -> int:
         from .latent import decode as pca_decode
 
         pca = load_pca(args.pca)
+        p = pca.patch_size
+        if header.channels != pca.channels:
+            raise HeaderMismatch(f"stream has {header.channels} channels, {args.pca} has {pca.channels}")
+        if header.width % p or header.height % p or token_count(header.width, header.height, p) != pool.T:
+            raise HeaderMismatch(f"a {header.width}x{header.height} image is not {pool.T} patches of {p}x{p}")
         img = pca_decode(tokens, pca, header.width, header.height)
         write_pnm(img, args.out)
         print(f"wrote {args.out}: {header.width}x{header.height} image")

@@ -214,6 +214,12 @@ def derive_token_specific(shared: Codebook, T: int) -> TokenSpecificGroup:
     return TokenSpecificGroup(np.repeat(shared.codes[None], T, axis=0), T)
 
 
+def index_histograms(indices: np.ndarray, K: int) -> np.ndarray:
+    """(T, K) counts of each code index at each token position over (N, T) indices."""
+    T = indices.shape[1]
+    return np.bincount((np.arange(T) * K + indices).ravel(), minlength=T * K).reshape(T, K)
+
+
 def utilization(assignments: np.ndarray, K: int) -> UtilizationStats:
     """Per-token distinct-usage percentages from (T, K) index histograms."""
     hist = np.asarray(assignments)

@@ -21,6 +21,7 @@ from .errors import (
     EmptyCorpus,
     HeaderMismatch,
     NonDivisibleImage,
+    RangeViolation,
     ShapeMismatch,
     Truncated,
 )
@@ -233,6 +234,8 @@ def write_pnm(img: ImageBuffer, path) -> None:
 
 
 def save_pca(t: PcaTransform, path) -> None:
+    if t.channels not in (1, 3):  # load_pca rejects such a file; write none
+        raise RangeViolation(f"pca channels must be 1 or 3, not {t.channels}")
     version = PCA_VERSION_ENC if t.decoder is None else PCA_VERSION_DEC
     decoder = [] if t.decoder is None else [t.decoder, t.decoder_mean]
     fields = {"version": version, "patch_size": t.patch_size, "channels": t.channels, "d": t.d}

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitstream import bpp
-from .codebook import Codebook, CodebookPool, TokenSpecificGroup, UtilizationStats, utilization
+from .codebook import Codebook, CodebookPool, TokenSpecificGroup, UtilizationStats, index_histograms, utilization
 from .errors import EmptyCorpus
 from .latent import PcaTransform, decode, encode
-from .quantizer import dequantize, nearest, quantize_routed
+from .quantizer import codes_at, quantize_corpus
 
 
 @dataclass
@@ -59,14 +59,11 @@ def eval_rd(
     latent_n = 0
     pixel_sq = 0.0
     pixel_n = 0
-    width = height = None
-    for img in corpus:
-        width, height = img.width, img.height
-        tokens = encode(img, pca)
-        q = quantize_routed(tokens.values, pool, policy=policy, router=router)
-        z_q = dequantize(q, pool)
-        latent_sq += float(((tokens.values - z_q) ** 2).sum())
-        latent_n += tokens.values.size
+    tokens = [encode(img, pca).values for img in corpus]
+    groups, indices, _ = quantize_corpus(tokens, pool, policy=policy, router=router)
+    for img, values, z_q in zip(corpus, tokens, codes_at(pool, groups, indices)):
+        latent_sq += float(((values - z_q) ** 2).sum())
+        latent_n += values.size
         recon = decode(z_q, pca, img.width, img.height)
         pixel_sq += float(((img.data - recon.data) ** 2).sum())
         pixel_n += img.data.size
@@ -77,7 +74,7 @@ def eval_rd(
         T=pool.T,
         policy=policy,
         seed=seed,
-        bpp=bpp(pool.T, pool.K, pool.M, width, height),
+        bpp=bpp(pool.T, pool.K, pool.M, corpus[-1].width, corpus[-1].height),
         latent_mse=latent_sq / latent_n,
         pixel_mse=pixel_mse,
         psnr=psnr_from_mse(pixel_mse),
@@ -97,10 +94,9 @@ def eval_rd_tokens(
     corpus = np.asarray(corpus, dtype=np.float64)
     if corpus.size == 0:
         raise EmptyCorpus("eval_rd_tokens needs at least one token matrix")
+    groups, indices, _ = quantize_corpus(corpus, pool, policy=policy, router=router)
     total_sq = 0.0
-    for tokens in corpus:
-        q = quantize_routed(tokens, pool, policy=policy, router=router)
-        z_q = dequantize(q, pool)
+    for tokens, z_q in zip(corpus, codes_at(pool, groups, indices)):
         total_sq += float(((tokens - z_q) ** 2).sum())
     return RdPoint(
         M=pool.M,
@@ -121,13 +117,9 @@ def routing_histogram(
     labels=None,
 ) -> dict[str, RoutingHistogram]:
     """Per-label counts of selected group indices; key "all" when unlabeled."""
-    corpus = list(corpus)
-    choices = [
-        quantize_routed(np.asarray(getattr(t, "values", t)), pool, policy=policy, router=router).group_index
-        for t in corpus
-    ]
+    choices = quantize_corpus(corpus, pool, policy=policy, router=router)[0]
     if labels is None:
-        labels = ["all"] * len(corpus)
+        labels = ["all"] * len(choices)
     out: dict[str, RoutingHistogram] = {}
     for lab in sorted({str(l) for l in labels}):
         counts = np.zeros(pool.M, dtype=np.int64)
@@ -144,10 +136,8 @@ def assignment_histograms_shared(corpus: np.ndarray, shared: Codebook, T: int) -
 
 
 def assignment_histograms_group(corpus: np.ndarray, group: TokenSpecificGroup) -> np.ndarray:
-    hist = np.zeros((group.T, group.K), dtype=np.int64)
-    for tokens in np.asarray(corpus, dtype=np.float64):
-        hist[np.arange(group.T), nearest(tokens[None], group.codes)[0][0]] += 1
-    return hist
+    indices = quantize_corpus(corpus, CodebookPool(group.codes[None], T=group.T))[1]
+    return index_histograms(indices, group.K)
 
 
 def compare_utilization(

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import CodebookPool, init_kmeanspp, utilization
+from .codebook import CodebookPool, index_histograms, init_kmeanspp, utilization
 from .errors import DivergenceDetected, StageOrderError, TooFewSamples
 from .latent import PcaTransform, encode, image_patches
-from .quantizer import dequantize, group_errors, nearest, quantize_routed
+from .quantizer import codes_at, quantize_corpus, search
 from .router import RouterParams, init_router, router_loss_and_grads, router_probs
 
 _GRAD_CLIP = 1e3
@@ -142,15 +142,15 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
         lr = _cosine_lr(cfg.learning_rate, step, steps)
         batch = data[rng.integers(0, n, size=cfg.batch_size)]
         pooled = batch.mean(axis=1)
-        found = [nearest(batch, codes[m]) for m in range(M)]
-        errs = np.stack([err.sum(axis=1) for _, err in found], axis=1)
+        found, err = search(batch, codes)  # (B, M, T) indices and errors
+        errs = err.sum(axis=2)
         routed = router_probs(pooled, router).argmax(axis=1)
         rows = np.arange(len(batch))
 
         quant_loss = float(errs[rows, routed].mean())
         if step >= warmup:
             # sums and counts per (m, t', k) key, accumulated in batch order
-            idx = np.stack([i for i, _ in found])[routed, rows]
+            idx = found[rows, routed]
             keys = ((routed[:, None] * Tp + token_row) * K + idx).ravel()
             counts = np.bincount(keys, minlength=M * Tp * K)
             sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
@@ -235,11 +235,7 @@ def routing_counts(data: np.ndarray, router: RouterParams, M: int) -> list[int]:
 
 
 def _utilization_summary(data: np.ndarray, pool: CodebookPool) -> dict[str, float]:
-    hist = np.zeros((pool.T, pool.K), dtype=np.int64)
-    for tokens in data:
-        q = quantize_routed(tokens, pool, policy="nn")
-        hist[np.arange(pool.T), q.indices] += 1
-    stats = utilization(hist, pool.K)
+    stats = utilization(index_histograms(quantize_corpus(data, pool)[1], pool.K), pool.K)
     return {"min": stats.min, "max": stats.max, "mean": stats.mean, "std": stats.std}
 
 
@@ -258,15 +254,10 @@ def stage3(
     if not pool.frozen:
         raise StageOrderError("stage 3 requires a frozen (stage-2) pool")
     start = time.perf_counter()
-    latents = []
-    targets = []
-    for img in images:
-        tokens = encode(img, pca)
-        q = quantize_routed(tokens.values, pool, policy="nn")
-        latents.append(dequantize(q, pool))
-        targets.append(image_patches(img, pca.patch_size))
-    X = np.concatenate(latents)  # (N*T, d)
-    Y = np.concatenate(targets)  # (N*T, p)
+    images = list(images)
+    groups, indices, _ = quantize_corpus([encode(img, pca) for img in images], pool)
+    X = codes_at(pool, groups, indices).reshape(-1, pool.d)  # (N*T, d)
+    Y = np.concatenate([image_patches(img, pca.patch_size) for img in images])  # (N*T, p)
     design = np.hstack([X, np.ones((X.shape[0], 1))])
     coef, *_ = np.linalg.lstsq(design, Y, rcond=None)
     if not np.isfinite(coef).all():
@@ -289,11 +280,4 @@ def stage3(
 
 def mean_latent_mse(data: np.ndarray, pool: CodebookPool, router: RouterParams | None = None, policy: str = "nn") -> float:
     """Mean squared latent error per token dimension over a token corpus."""
-    data = np.asarray(data, dtype=np.float64)
-    errs = group_errors(data, pool)
-    if policy == "nn":
-        per_image = errs.min(axis=1)
-    else:
-        probs = router_probs(data.mean(axis=1), router)
-        per_image = errs[np.arange(len(data)), probs.argmax(axis=1)]
-    return float(per_image.mean() / (pool.T * pool.d))
+    return float(quantize_corpus(data, pool, policy, router)[2].mean() / (pool.T * pool.d))

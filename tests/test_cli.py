@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -156,17 +157,41 @@ def test_encode_malformed_pnm_is_data_error(tmp_path, trained, capsys, raw):
 
 
 def test_decode_with_two_channel_pca_is_data_error(tmp_path, trained):
-    from stscq.latent import PcaTransform, save_pca
+    from stscq.latent import PCA_MAGIC
 
     np.save(tmp_path / "t.npy", np.zeros((4, 4)))
     stream = tmp_path / "t.stscq"
     rc = run("encode", "--tokens", tmp_path / "t.npy", "--pool", trained / "pool_stage2.pool",
              "--out", stream, "--width", 4, "--height", 4)
     assert rc == 0
-    save_pca(PcaTransform(2, 2, np.zeros(8), np.zeros((4, 8))), tmp_path / "p.pca")
+    # save_pca refuses channels 2, so write the file's bytes directly:
+    # version 1, patch_size 2, channels 2, d 4, then mean (8) and basis (4, 8)
+    pca = PCA_MAGIC + struct.pack("<BHBH", 1, 2, 2, 4) + np.zeros(8 + 32).tobytes()
+    (tmp_path / "p.pca").write_bytes(pca)
     rc = run("decode", "--stream", stream, "--pool", trained / "pool_stage2.pool",
              "--pca", tmp_path / "p.pca", "--out", tmp_path / "r.pgm")
     assert rc == 3
+    assert not (tmp_path / "r.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "width, height, channels",
+    [(4, 4, 3), (5, 4, 1), (4, 5, 1), (8, 8, 1)],
+    ids=["channels-3", "width-not-tiled", "height-not-tiled", "too-many-patches"],
+)
+def test_decode_checks_stream_header_against_pca_and_pool(tmp_path, trained, capsys, width, height, channels):
+    from stscq.bitstream import StreamHeader, serialize
+    from stscq.latent import PcaTransform, save_pca
+    from stscq.quantizer import QuantizedImage
+
+    # the pool has T=4 tokens of d=4; a 1-channel PCA with 2x2 patches tiles a 4x4 image
+    header = StreamHeader(M=4, K=8, T=4, width=width, height=height, channels=channels)
+    (tmp_path / "s.stscq").write_bytes(serialize(QuantizedImage(1, [0, 1, 2, 3]), header))
+    save_pca(PcaTransform(2, 1, np.zeros(4), np.eye(4)), tmp_path / "p.pca")
+    rc = run("decode", "--stream", tmp_path / "s.stscq", "--pool", trained / "pool_stage2.pool",
+             "--pca", tmp_path / "p.pca", "--out", tmp_path / "r.pgm")
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "r.pgm").exists()
 
 

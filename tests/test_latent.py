@@ -8,6 +8,7 @@ from stscq.errors import (
     HeaderMismatch,
     NonDivisibleImage,
     ShapeMismatch,
+    StscqError,
     Truncated,
 )
 from stscq.latent import (
@@ -206,6 +207,15 @@ def test_pca_file_round_trip(tmp_path):
     back = load_pca(path)
     assert np.array_equal(back.decoder, t.decoder)
     assert np.array_equal(back.decoder_mean, t.decoder_mean)
+
+
+@pytest.mark.parametrize("channels", [0, 2, 4])
+def test_save_pca_refuses_channels_other_than_1_or_3(tmp_path, channels):
+    p = 4 * channels
+    path = tmp_path / "t.pca"
+    with pytest.raises(StscqError):
+        save_pca(PcaTransform(2, channels, np.zeros(p), np.zeros((2, p))), path)
+    assert not path.exists()
 
 
 def test_decode_clamps_to_unit_range():

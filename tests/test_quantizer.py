@@ -13,11 +13,13 @@ from stscq import quantizer
 from stscq.quantizer import (
     QuantizedImage,
     dequantize,
-    nearest,
+    quantize_corpus,
     quantize_group,
     quantize_one,
     quantize_routed,
+    search,
 )
+from stscq.router import route_naive
 
 
 def brute_force_nearest(z, codes):
@@ -114,30 +116,92 @@ def test_group_shape_mismatch():
         quantize_group(np.zeros((3, 5)), group)
 
 
-def test_nearest_matches_per_token_oracle():
+def test_search_matches_per_token_oracle():
     rng = np.random.default_rng(12)
     batch = rng.standard_normal((3, 5, 2))
-    codes = rng.standard_normal((5, 6, 2))
-    indices, errors = nearest(batch, codes)
+    codes = rng.standard_normal((2, 5, 6, 2))
+    indices, errors = search(batch, codes)
     for b in range(3):
-        for t in range(5):
-            oi, od = brute_force_nearest(batch[b, t], codes[t])
-            assert indices[b, t] == oi
-            assert errors[b, t] == pytest.approx(od, abs=1e-12)
+        for m in range(2):
+            for t in range(5):
+                oi, od = brute_force_nearest(batch[b, t], codes[m, t])
+                assert indices[b, m, t] == oi
+                assert errors[b, m, t] == pytest.approx(od, abs=1e-12)
 
 
-def test_nearest_slicing_and_sharing_are_exact(monkeypatch):
+def test_search_slicing_and_sharing_are_exact(monkeypatch):
     rng = np.random.default_rng(13)
     batch = rng.standard_normal((4, 9, 3))
-    codes = rng.standard_normal((9, 7, 3))
-    whole = nearest(batch, codes)
-    shared = nearest(batch, codes[:1])
-    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 1)  # one token per slice
-    for got, want in zip(nearest(batch, codes), whole):
+    codes = rng.standard_normal((2, 9, 7, 3))
+    whole = search(batch, codes)
+    shared = search(batch, codes[:, :1])
+    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 1)  # one image and one token per slice
+    for got, want in zip(search(batch, codes), whole):
         assert np.array_equal(got, want)
-    broadcast = np.broadcast_to(codes[:1], codes.shape)
-    for got, want in zip(nearest(batch, broadcast), shared):
+    broadcast = np.broadcast_to(codes[:, :1], codes.shape)
+    for got, want in zip(search(batch, broadcast), shared):
         assert np.array_equal(got, want)
+
+
+def oracle_search(batch, codes):
+    """search() by brute force, one (image, group, token) at a time."""
+    B, T, _ = batch.shape
+    M = codes.shape[0]
+    indices = np.zeros((B, M, T), dtype=int)
+    errors = np.zeros((B, M, T))
+    for b in range(B):
+        for m in range(M):
+            for t in range(T):
+                indices[b, m, t], errors[b, m, t] = brute_force_nearest(batch[b, t], codes[m, t % codes.shape[1]])
+    return indices, errors
+
+
+# M=3, K=5, d=2 and T=4 give search() 320 bytes of temporaries per token (the
+# differences to M groups plus the token repeated K times) and 1280 per image:
+# slices of 4 whole images, of 2 tokens of one image, and of one token
+TIE_CAPS = {"whole": 1 << 22, "image-slices": 5120, "token-slices": 700, "one-token": 1}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["T'=T", "T'=1"])
+@pytest.mark.parametrize("cap", list(TIE_CAPS.values()), ids=list(TIE_CAPS))
+def test_search_ties_go_to_the_lowest_index(monkeypatch, cap, shared):
+    """Integer grids, duplicate codes and tokens midway between codes tie exactly."""
+    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
+    rng = np.random.default_rng(15)
+    M, T, K, d = 3, 4, 5, 2
+    for trial in range(20):
+        codes = rng.integers(-2, 3, size=(M, 1 if shared else T, K, d)).astype(float)
+        codes[:, :, 3] = codes[:, :, 1]  # a duplicate after its first copy
+        grid = rng.integers(-3, 4, size=(6, T, d)).astype(float)
+        batch = grid + 0.5 * (trial % 2)  # half-integers sit midway between grid codes
+        want_i, want_e = oracle_search(batch, codes)
+        got_i, got_e = search(batch, codes)
+        assert np.array_equal(got_i, want_i)
+        assert np.array_equal(got_e, want_e)  # small dyadic values: every sum is exact
+        assert not (got_i == 3).any()  # the later duplicate is never chosen
+
+
+@pytest.mark.parametrize("cap", list(TIE_CAPS.values()), ids=list(TIE_CAPS))
+def test_tied_group_totals_route_to_the_lowest_group(monkeypatch, cap):
+    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
+    rng = np.random.default_rng(16)
+    T, K, d = 4, 5, 2
+    base = rng.standard_normal((T, K, d))
+    # group 1 is group 0 with its codes permuted, so both reach the same minimum
+    # per token; group 2 is the worst one, and group 3 repeats group 0
+    codes = np.stack([base, base[:, ::-1], base + 10.0, base])
+    pool = CodebookPool(codes, T=T)
+    batch = rng.standard_normal((7, T, d))
+    totals = search(batch, codes)[1].sum(axis=2)
+    assert np.array_equal(totals[:, 0], totals[:, 1]) and np.array_equal(totals[:, 0], totals[:, 3])
+    groups, indices, errors = quantize_corpus(batch, pool)
+    assert (groups == 0).all()
+    want_i, want_e = oracle_search(batch, codes[:1])
+    assert np.array_equal(indices, want_i[:, 0])
+    assert np.allclose(errors, want_e[:, 0].sum(axis=1), rtol=1e-12, atol=0)
+    for tokens in batch:
+        assert route_naive(tokens, pool) == 0
+        assert quantize_routed(tokens, pool).group_index == 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
