@@ -5,6 +5,7 @@ is the format version, then little-endian float64 arrays that end the file.
 """
 
 import math
+import mmap
 import os
 import struct
 
@@ -36,16 +37,28 @@ def unpack_header(raw: bytes, magic: bytes, fmt: str, versions) -> tuple[int, ..
 
 
 def write(path, magic: bytes, fmt: str, fields: dict[str, int], arrays) -> None:
+    """Writes a sibling temporary file and renames it over `path`. Truncating the
+    old file instead would pull it from under a process that maps it (SIGBUS),
+    and a save that fails part-way would leave it half written."""
     header = pack_header(magic, fmt, fields)  # before open, so a bad field leaves no file
-    with open(path, "wb") as f:
-        f.write(header)
-        for arr in arrays:
-            f.write(np.ascontiguousarray(arr, dtype=_F8))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(header)
+            for arr in arrays:
+                f.write(np.ascontiguousarray(arr, dtype=_F8))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def read(path, magic: bytes, fmt: str, versions, shapes) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """(header fields, arrays as views of one aligned buffer); `shapes(*fields)` gives the
-    array shapes and may raise for a field value its format does not define."""
+def read(path, magic: bytes, fmt: str, versions, shapes, mapped=None) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """(header fields, arrays); `shapes(*fields)` gives the array shapes and may raise
+    for a field value its format does not define. The arrays are views of one aligned
+    buffer read whole or, when `mapped(*fields)` is true, read-only views of a
+    read-only map of the file, made after every check has passed."""
     with open(path, "rb") as f:
         fields = unpack_header(f.read(len(magic) + struct.calcsize(fmt)), magic, fmt, versions)
         dims = shapes(*fields)
@@ -57,5 +70,9 @@ def read(path, magic: bytes, fmt: str, versions, shapes) -> tuple[tuple[int, ...
             raise Truncated(f"{magic.decode()} file shorter than its declared shapes {dims}")
         if extra > 0:
             raise LengthMismatch(f"{extra} bytes after the {magic.decode()} file's arrays")
-        flat = np.fromfile(f, dtype=_F8, count=sum(sizes))
+        if mapped is not None and mapped(*fields):
+            buf = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            flat = np.frombuffer(buf, dtype=_F8, count=sum(sizes), offset=f.tell())
+        else:
+            flat = np.fromfile(f, dtype=_F8, count=sum(sizes))
     return fields, [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes[:-1])), dims)]

@@ -143,21 +143,37 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _check_geometry(header: bitstream.StreamHeader, pca, source) -> None:
+    """HeaderMismatch unless the header's image has the PCA file's channels and
+    tiles into header.T patches of its patch size."""
+    p = pca.patch_size
+    if header.channels != pca.channels:
+        raise HeaderMismatch(f"the image has {header.channels} channels, {source} has {pca.channels}")
+    if header.width % p or header.height % p or token_count(header.width, header.height, p) != header.T:
+        raise HeaderMismatch(f"a {header.width}x{header.height} image is not {header.T} patches of {p}x{p}")
+
+
 def cmd_encode(args) -> int:
+    if args.image and not args.pca:
+        raise BadSpec("--image needs --pca")
+    if args.tokens and (args.width is None or args.height is None):
+        raise BadSpec("--tokens needs the image geometry: give --width and --height")
     pool = load_pool(args.pool)
     router = load_router(args.router) if args.router else None
+    pca = load_pca(args.pca) if args.pca else None
     if args.image:
-        pca = load_pca(args.pca)
         img = read_pnm(args.image)
         tokens = pca_encode(img, pca).values
         width, height, channels = img.width, img.height, img.channels
     else:
         tokens = np.load(args.tokens)
-        width, height, channels = args.width, args.height, 1
-    q = quantize_routed(tokens, pool, policy=args.policy, router=router)
+        width, height, channels = args.width, args.height, pca.channels if pca else 1
     header = bitstream.StreamHeader(
         M=pool.M, K=pool.K, T=pool.T, width=width, height=height, channels=channels
     )
+    if pca is not None:
+        _check_geometry(header, pca, args.pca)
+    q = quantize_routed(tokens, pool, policy=args.policy, router=router)
     stream = bitstream.serialize(q, header)
     Path(args.out).write_bytes(stream)
     rate = bitstream.bpp(pool.T, pool.K, pool.M, width, height, include_header=args.include_header_bpp)
@@ -175,11 +191,7 @@ def cmd_decode(args) -> int:
         from .latent import decode as pca_decode
 
         pca = load_pca(args.pca)
-        p = pca.patch_size
-        if header.channels != pca.channels:
-            raise HeaderMismatch(f"stream has {header.channels} channels, {args.pca} has {pca.channels}")
-        if header.width % p or header.height % p or token_count(header.width, header.height, p) != pool.T:
-            raise HeaderMismatch(f"a {header.width}x{header.height} image is not {pool.T} patches of {p}x{p}")
+        _check_geometry(header, pca, args.pca)
         img = pca_decode(tokens, pca, header.width, header.height)
         write_pnm(img, args.out)
         print(f"wrote {args.out}: {header.width}x{header.height} image")
@@ -269,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--pool", required=True)
     pe.add_argument("--router")
     pe.add_argument("--policy", choices=["nn", "cr"], default="nn")
-    pe.add_argument("--width", type=int, default=256)
-    pe.add_argument("--height", type=int, default=256)
+    pe.add_argument("--width", type=int, help="image width; required with --tokens")
+    pe.add_argument("--height", type=int, help="image height; required with --tokens")
     pe.add_argument("--out", required=True)
     pe.add_argument("--include-header-bpp", action="store_true")
     pe.set_defaults(func=cmd_encode)

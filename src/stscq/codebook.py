@@ -242,8 +242,17 @@ def _pool_shapes(version, M, T, K, d, flag):
     return [(M, T, K, d)]
 
 
+def _pool_mapped(version, M, T, K, d, flag):
+    return not _POOL_STATES[flag][0]
+
+
 def load_pool(path) -> CodebookPool:
-    fields, (codes,) = artifact.read(path, POOL_MAGIC, _POOL_HEADER, (POOL_VERSION,), _pool_shapes)
+    """A token-specific pool's codes are a read-only map of the file, so loading
+    reads nothing and a decode touches only the rows it gathers. A shared pool is
+    read whole: its copies are checked and one per group is kept."""
+    fields, (codes,) = artifact.read(
+        path, POOL_MAGIC, _POOL_HEADER, (POOL_VERSION,), _pool_shapes, mapped=_pool_mapped
+    )
     _, _, T, _, _, flag = fields
     shared, frozen = _POOL_STATES[flag]
     if shared:  # the file repeats each group's one codebook T times; keep one

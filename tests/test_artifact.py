@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stscq import artifact
 from stscq.bitstream import StreamHeader, deserialize, serialize
 from stscq.codebook import POOL_MAGIC, CodebookPool, load_pool, save_pool
 from stscq.errors import RangeViolation, StscqError, Truncated
@@ -91,3 +92,61 @@ def test_loaders_survive_truncation_and_bit_flips(fuzz_dir, kind, edit, at):
         return
     save(loaded, path)
     assert path.read_bytes() == raw
+
+
+class _FailsOnWrite:
+    """An array argument whose conversion raises, as a full disk would part-way through a save."""
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("no space left on device")
+
+
+def test_a_failed_save_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "a.pool"
+    save_pool(FUZZ_POOL, path)
+    before = path.read_bytes()
+    fields = {"version": 1, "M": 2, "T": 3, "K": 4, "d": 2, "flag": 0}
+    with pytest.raises(OSError, match="no space"):
+        artifact.write(path, POOL_MAGIC, "<BHHIHB", fields, [_FailsOnWrite()])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pool"]
+
+
+def test_saving_over_a_loaded_pool_replaces_the_file(tmp_path):
+    """Readers of the old file, the pool mapped from it among them, keep the old bytes."""
+    path = tmp_path / "a.pool"
+    save_pool(FUZZ_POOL, path)
+    before = path.read_bytes()
+    save_pool(load_pool(path), path)
+    assert path.read_bytes() == before
+    loaded = load_pool(path)
+    with open(path, "rb") as held:
+        save_pool(CodebookPool(FUZZ_POOL.codes + 1.0, frozen=True, T=3), path)
+        assert held.read() == before
+    assert np.array_equal(loaded.codes, FUZZ_POOL.codes)
+    assert np.array_equal(load_pool(path).codes, FUZZ_POOL.codes + 1.0)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pool"]
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["flag-0", "flag-2"])
+def test_token_specific_pool_codes_are_a_read_only_map(tmp_path, frozen):
+    path = tmp_path / "a.pool"
+    save_pool(CodebookPool(FUZZ_POOL.codes, frozen=frozen, T=3), path)
+    codes = load_pool(path).codes
+    assert not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0, 0, 0, 0] = 1.0
+    header = len(POOL_MAGIC) + struct.calcsize("<BHHIHB")
+    with open(path, "rb") as f:
+        f.seek(header)
+        assert np.array_equal(codes, np.fromfile(f, dtype="<f8").reshape(codes.shape))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["flag-1", "flag-3"])
+def test_token_shared_pool_codes_are_an_owned_aligned_array(tmp_path, frozen):
+    shared = np.random.default_rng(5).standard_normal((2, 1, 4, 2))
+    path = tmp_path / "s.pool"
+    save_pool(CodebookPool(shared, frozen=frozen, T=3), path)
+    codes = load_pool(path).codes
+    assert codes.flags.owndata and codes.flags.aligned and codes.flags.writeable
+    assert np.array_equal(codes, shared)

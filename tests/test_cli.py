@@ -125,7 +125,7 @@ def test_encode_non_finite_tokens_is_data_error(tmp_path, trained, capsys):
     tok_path = tmp_path / "t.npy"
     np.save(tok_path, tokens)
     rc = run("encode", "--tokens", tok_path, "--pool", trained / "pool_stage2.pool",
-             "--out", tmp_path / "t.stscq")
+             "--out", tmp_path / "t.stscq", "--width", 4, "--height", 4)
     assert rc == 3
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "t.stscq").exists()
@@ -135,7 +135,7 @@ def test_encode_oversized_width_is_data_error(tmp_path, trained, capsys):
     tok_path = tmp_path / "t.npy"
     np.save(tok_path, np.zeros((4, 4)))
     rc = run("encode", "--tokens", tok_path, "--pool", trained / "pool_stage2.pool",
-             "--out", tmp_path / "t.stscq", "--width", 70000)
+             "--out", tmp_path / "t.stscq", "--width", 70000, "--height", 4)
     assert rc == 3
     assert "width" in capsys.readouterr().err
     assert not (tmp_path / "t.stscq").exists()
@@ -195,12 +195,70 @@ def test_decode_checks_stream_header_against_pca_and_pool(tmp_path, trained, cap
     assert not (tmp_path / "r.pgm").exists()
 
 
+@pytest.fixture
+def t16_files(tmp_path):
+    """A T=16 pool, PCA files with 4x4 patches (16 of them tile 16x16) of 1 and 3
+    channels, and a token file."""
+    from stscq.codebook import CodebookPool, save_pool
+    from stscq.latent import PcaTransform, save_pca
+
+    rng = np.random.default_rng(2)
+    save_pool(CodebookPool(rng.standard_normal((2, 16, 4, 4)), frozen=True), tmp_path / "p.pool")
+    for c in (1, 3):
+        save_pca(PcaTransform(4, c, np.full(16 * c, 0.5), rng.standard_normal((4, 16 * c)) / 4), tmp_path / f"p{c}.pca")
+    np.save(tmp_path / "t.npy", rng.standard_normal((16, 4)))
+    return tmp_path
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_encode_tokens_takes_the_given_geometry(t16_files, capsys, channels):
+    d, pca = t16_files, t16_files / f"p{channels}.pca"
+    rc = run("encode", "--tokens", d / "t.npy", "--pool", d / "p.pool", "--pca", pca,
+             "--out", d / "t.stscq", "--width", 16, "--height", 16)
+    assert rc == 0
+    assert "bpp=0.128906" in capsys.readouterr().out  # (1 + 16·2) payload bits over 16·16 pixels
+    rc = run("decode", "--stream", d / "t.stscq", "--pool", d / "p.pool", "--pca", pca, "--out", d / "r.pnm")
+    assert rc == 0
+    from stscq.latent import read_pnm
+
+    img = read_pnm(d / "r.pnm")
+    assert (img.width, img.height, img.channels) == (16, 16, channels)
+
+
+@pytest.mark.parametrize("geometry", [["--height", 16], ["--width", 16], []], ids=["no-width", "no-height", "neither"])
+def test_encode_tokens_without_geometry_is_config_error(t16_files, capsys, geometry):
+    d = t16_files
+    rc = run("encode", "--tokens", d / "t.npy", "--pool", d / "p.pool", "--out", d / "t.stscq", *geometry)
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (d / "t.stscq").exists()
+
+
+def test_encode_image_without_pca_is_config_error(t16_files, capsys):
+    from stscq.latent import ImageBuffer, write_pnm
+
+    write_pnm(ImageBuffer(16, 16, 1, np.zeros((16, 16, 1))), t16_files / "i.pgm")
+    rc = run("encode", "--image", t16_files / "i.pgm", "--pool", t16_files / "p.pool", "--out", t16_files / "i.stscq")
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width, height", [(16, 12), (32, 16), (18, 16)], ids=["too-few", "too-many", "not-tiled"])
+def test_encode_tokens_checks_geometry_against_pca_and_pool(t16_files, capsys, width, height):
+    d = t16_files
+    rc = run("encode", "--tokens", d / "t.npy", "--pool", d / "p.pool", "--pca", d / "p1.pca",
+             "--out", d / "t.stscq", "--width", width, "--height", height)
+    assert rc == 3
+    assert "patches" in capsys.readouterr().err
+    assert not (d / "t.stscq").exists()
+
+
 def test_encode_cr_policy(tmp_path, trained):
     tok_path = tmp_path / "t.npy"
     np.save(tok_path, np.random.default_rng(1).standard_normal((4, 4)))
     rc = run("encode", "--tokens", tok_path, "--pool", trained / "pool_stage2.pool",
              "--router", trained / "router_stage2.rtr", "--policy", "cr",
-             "--out", tmp_path / "c.stscq")
+             "--out", tmp_path / "c.stscq", "--width", 4, "--height", 4)
     assert rc == 0
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup
-from stscq.errors import EmptyCorpus
+from stscq.errors import EmptyCorpus, LengthMismatch
 from stscq.latent import ImageBuffer, encode, fit_pca
 from stscq.metrics import (
     RD_CSV_FIELDS,
@@ -102,6 +102,14 @@ def test_routing_histogram_sums():
     assert sum(unlabeled["all"].counts) == 20
     merged = [x + y for x, y in zip(hists["a"].counts, hists["b"].counts)]
     assert merged == unlabeled["all"].counts
+
+
+@pytest.mark.parametrize("n_labels", [10, 21])
+def test_routing_histogram_rejects_labels_not_one_per_matrix(n_labels):
+    rng = np.random.default_rng(4)
+    pool = make_pool(rng, M=3, T=4, K=5, d=2)
+    with pytest.raises(LengthMismatch):
+        routing_histogram(rng.standard_normal((20, 4, 2)), pool, labels=["a"] * n_labels)
 
 
 def test_compare_utilization_trivial():

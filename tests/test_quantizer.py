@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,18 +131,28 @@ def test_search_matches_per_token_oracle():
                 assert errors[b, m, t] == pytest.approx(od, abs=1e-12)
 
 
+# M=2, K=7, d=3 and T=9 give search() 504 bytes of temporaries per token and
+# 4536 per image: all 4 images at once, slices of 2 images, of 2 tokens of one
+# image, and of one token
+SLICING_CAPS = {"whole": 1 << 22, "image-slices": 9072, "token-slices": 1500, "one-token": 1}
+
+
 def test_search_slicing_and_sharing_are_exact(monkeypatch):
     rng = np.random.default_rng(13)
     batch = rng.standard_normal((4, 9, 3))
     codes = rng.standard_normal((2, 9, 7, 3))
     whole = search(batch, codes)
     shared = search(batch, codes[:, :1])
-    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 1)  # one image and one token per slice
-    for got, want in zip(search(batch, codes), whole):
-        assert np.array_equal(got, want)
-    broadcast = np.broadcast_to(codes[:, :1], codes.shape)
-    for got, want in zip(search(batch, broadcast), shared):
-        assert np.array_equal(got, want)
+    # codes 5 bytes off 8-byte alignment, as a mapped pool file's are
+    unaligned = np.frombuffer(bytes(5) + codes.tobytes(), offset=5).reshape(codes.shape)
+    assert not unaligned.flags.aligned
+    for cap, c in itertools.product(SLICING_CAPS.values(), (codes, unaligned)):
+        monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
+        for got, want in zip(search(batch, c), whole):
+            assert np.array_equal(got, want)
+        broadcast = np.broadcast_to(c[:, :1], codes.shape)
+        for got, want in zip(search(batch, broadcast), shared):
+            assert np.array_equal(got, want)
 
 
 def oracle_search(batch, codes):
