@@ -7,6 +7,7 @@ is the format version, then little-endian float64 arrays that end the file.
 import math
 import mmap
 import os
+import stat
 import struct
 
 import numpy as np
@@ -37,17 +38,24 @@ def unpack_header(raw: bytes, magic: bytes, fmt: str, versions) -> tuple[int, ..
 
 
 def write(path, magic: bytes, fmt: str, fields: dict[str, int], arrays) -> None:
-    """Writes a sibling temporary file and renames it over `path`. Truncating the
-    old file instead would pull it from under a process that maps it (SIGBUS),
-    and a save that fails part-way would leave it half written."""
+    """Writes a sibling temporary file, syncs it and renames it over `path`.
+    Truncating the old file instead would pull it from under a process that maps
+    it (SIGBUS), and a save that fails part-way would leave it half written. A
+    symlinked `path` is written through to its target, and an existing target
+    keeps its permission bits."""
     header = pack_header(magic, fmt, fields)  # before open, so a bad field leaves no file
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    path = os.path.realpath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
     f = open(tmp, "wb")
     try:
         with f:
             f.write(header)
             for arr in arrays:
                 f.write(np.ascontiguousarray(arr, dtype=_F8))
+            f.flush()
+            os.fsync(f.fileno())
+        if os.path.exists(path):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

@@ -118,13 +118,18 @@ def routing_histogram(
 ) -> dict[str, RoutingHistogram]:
     """Per-label counts of selected group indices; key "all" when unlabeled."""
     choices = quantize_corpus(corpus, pool, policy=policy, router=router)[0]
-    if labels is not None and len(labels) != len(choices):
+    if labels is None:
+        labels = ["all"] * len(choices)
+    if len(labels) != len(choices):
         raise LengthMismatch(f"{len(labels)} labels for {len(choices)} token matrices")
-    labels = np.array(["all"] * len(choices) if labels is None else [str(l) for l in labels])
-    return {
-        lab: RoutingHistogram(np.bincount(choices[labels == lab], minlength=pool.M).tolist(), lab)
-        for lab in sorted(set(labels.tolist()))
-    }
+    out: dict[str, RoutingHistogram] = {}
+    for lab in sorted({str(l) for l in labels}):
+        counts = np.zeros(pool.M, dtype=np.int64)
+        for c, l in zip(choices, labels):
+            if str(l) == lab:
+                counts[c] += 1
+        out[lab] = RoutingHistogram(counts=counts.tolist(), attribute_label=lab)
+    return out
 
 
 def assignment_histograms_shared(corpus: np.ndarray, shared: Codebook, T: int) -> np.ndarray:

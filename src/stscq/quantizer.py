@@ -74,7 +74,6 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     B, T, d = batch.shape
     M, _, K, _ = codes.shape
-    aligned = codes.flags.aligned
     codes = np.broadcast_to(codes, (M, T, K, d))
     indices = np.empty((B, M, T), dtype=np.intp)
     errors = np.empty((B, M, T))
@@ -86,15 +85,12 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
             # with each token repeated K times, the subtraction runs over
             # contiguous (K, d) rows instead of d values at a time
             z = np.repeat(batch[b : b + nb, t : t + nt, None, :], K, axis=2)
-            if aligned:
-                diff = z[:, None] - codes[None, :, t : t + nt]
-            else:
-                # a mapped pool's codes sit 5 bytes off 8-byte alignment, where
-                # numpy subtracts in a slower loop; copy them into the aligned
-                # difference buffer and subtract in place (the same bits)
-                diff = np.empty((len(z), M) + z.shape[1:])
-                diff[:] = codes[None, :, t : t + nt]
-                np.subtract(z[:, None], diff, out=diff)
+            # a mapped pool's codes sit 5 bytes off 8-byte alignment, where numpy
+            # subtracts in a slower loop; copy them into the aligned difference
+            # buffer and subtract in place (the same bits as z - codes)
+            diff = np.empty((len(z), M) + z.shape[1:])
+            diff[:] = codes[None, :, t : t + nt]
+            np.subtract(z[:, None], diff, out=diff)
             dists = np.einsum("bmtkd,bmtkd->bmtk", diff, diff)
             idx = dists.argmin(axis=3)  # argmin returns the first minimum: lowest index
             indices[b : b + nb, :, t : t + nt] = idx

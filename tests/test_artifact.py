@@ -128,6 +128,18 @@ def test_saving_over_a_loaded_pool_replaces_the_file(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.pool"]
 
 
+def test_saving_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target, link = tmp_path / "a.pool", tmp_path / "link.pool"
+    save_pool(FUZZ_POOL, target)
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    save_pool(CodebookPool(FUZZ_POOL.codes + 1.0, frozen=True, T=3), link)
+    assert link.is_symlink()
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert np.array_equal(load_pool(target).codes, FUZZ_POOL.codes + 1.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pool", "link.pool"]
+
+
 @pytest.mark.parametrize("frozen", [True, False], ids=["flag-0", "flag-2"])
 def test_token_specific_pool_codes_are_a_read_only_map(tmp_path, frozen):
     path = tmp_path / "a.pool"
