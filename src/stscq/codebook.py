@@ -165,12 +165,14 @@ class UtilizationStats:
         self.std = float(r.std())  # population std
 
 
-def init_kmeanspp(samples: np.ndarray, K: int, seed: int, iters: int = 10) -> Codebook:
-    """Codebook from k-means++ seeding plus Lloyd iterations.
+def init_kmeanspp(samples: np.ndarray, K: int, seed: int) -> Codebook:
+    """Codebook from k-means++ seeding plus 10 Lloyd iterations.
 
     samples: (n, d) array of encoder outputs. Deterministic for a fixed seed
     and sample order.
     """
+    from .quantizer import search  # quantizer imports this module
+
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         samples = samples.reshape(-1, samples.shape[-1])
@@ -191,9 +193,8 @@ def init_kmeanspp(samples: np.ndarray, K: int, seed: int, iters: int = 10) -> Co
         centers[k] = samples[np.searchsorted(np.cumsum(d2 / total), rng.random())]
         d2 = np.minimum(d2, ((samples - centers[k]) ** 2).sum(axis=1))
 
-    for _ in range(max(iters, 10)):
-        dists = ((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = dists.argmin(axis=1)
+    for _ in range(10):
+        assign = search(samples[:, None], centers[None, None])[0][:, 0, 0]
         for k in range(K):
             mask = assign == k
             if mask.any():

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup
-from .errors import DimensionMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch, UntrainedRouter
+from .errors import DimensionMismatch, HeaderMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch, UntrainedRouter
 
 # cap on search()'s difference temporary, and on quantize_corpus()'s (B, M, T)
 # search results: an unsliced difference is 256 MiB per image at
@@ -59,9 +59,8 @@ def quantize_one(z: np.ndarray, cb: Codebook) -> tuple[int, float]:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (cb.d,):
         raise DimensionMismatch(f"vector of dim {z.shape} vs codebook dim {cb.d}")
-    dists = ((cb.codes - z) ** 2).sum(axis=1)
-    idx = int(dists.argmin())  # argmin returns the first minimum: lowest index
-    return idx, float(dists[idx])
+    indices, errors = search(z[None, None], cb.codes[None, None])
+    return int(indices[0, 0, 0]), float(errors[0, 0, 0])
 
 
 def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,22 +120,16 @@ def quantize_routed(tokens, pool: CodebookPool, policy: str = "nn", router=None)
     """Select a group (NN: minimum total error; CR: learned router), then quantize.
 
     The NN path never consults router parameters, so its output is identical
-    whether or not a router exists.
+    whether or not a router exists. Any other policy is quantize_corpus over
+    one image, which checks the policy and the router against the pool.
     """
     values = _tokens_2d(tokens)
-    policy = policy.lower()
-    if policy == "nn":
-        from .router import route_naive
+    if policy.lower() != "nn":
+        groups, indices, _ = quantize_corpus(values[None], pool, policy, router)
+        return QuantizedImage(group_index=int(groups[0]), indices=indices[0])
+    from .router import route_naive
 
-        gi = route_naive(values, pool)
-    elif policy == "cr":
-        if router is None:
-            raise UntrainedRouter("CR policy requires trained router parameters")
-        from .router import route_learned
-
-        gi, _ = route_learned(values, router)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
+    gi = route_naive(values, pool)
     indices, _ = quantize_group(values, TokenSpecificGroup(pool.codes[gi], pool.T))
     return QuantizedImage(group_index=gi, indices=indices)
 
@@ -166,6 +159,8 @@ def quantize_corpus(corpus, pool: CodebookPool, policy: str = "nn", router=None)
     elif policy == "cr":
         if router is None:
             raise UntrainedRouter("CR policy requires trained router parameters")
+        if router.M != pool.M:
+            raise HeaderMismatch(f"the router scores M={router.M} groups, the pool has M={pool.M}")
         from .router import router_probs
 
         groups = router_probs(values.mean(axis=1), router).argmax(axis=1)

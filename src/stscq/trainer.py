@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import CodebookPool, index_histograms, init_kmeanspp, utilization
-from .errors import DivergenceDetected, StageOrderError, TooFewSamples
+from .errors import DivergenceDetected, HeaderMismatch, StageOrderError, TooFewSamples
 from .latent import PcaTransform, encode, image_patches
 from .quantizer import codes_at, quantize_corpus, search
 from .router import RouterParams, init_router, router_loss_and_grads, router_probs
@@ -43,9 +43,12 @@ class TrainConfig:
     router_warmup: int = 100
 
     def validate(self) -> None:
-        for name in ("M", "K", "T", "d", "batch_size", "hidden"):
+        for name in ("M", "K", "T", "d", "batch_size", "hidden", "dead_code_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("steps_stage1", "steps_stage2", "router_warmup"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
@@ -89,7 +92,7 @@ def init_stage1_pool(data: np.ndarray, cfg: TrainConfig) -> CodebookPool:
     rng = np.random.default_rng(cfg.seed)
     pooled = data.mean(axis=1)
     cells = init_kmeanspp(pooled, cfg.M, seed=cfg.seed)
-    assign = ((pooled[:, None, :] - cells.codes[None]) ** 2).sum(axis=2).argmin(axis=1)
+    assign = search(pooled[:, None], cells.codes[None, None])[0][:, 0, 0]
     shared = []
     for i in range(cfg.M):
         shard = np.nonzero(assign == i)[0]
@@ -184,7 +187,6 @@ def stage1(
     data: np.ndarray,
     cfg: TrainConfig,
     pool: CodebookPool | None = None,
-    router: RouterParams | None = None,
     report: TrainReport | None = None,
 ) -> tuple[CodebookPool, RouterParams]:
     """Train token-shared switchable codebooks jointly with the router."""
@@ -192,8 +194,7 @@ def stage1(
     data = np.asarray(data, dtype=np.float64)
     if pool is None:
         pool = init_stage1_pool(data, cfg)
-    if router is None:
-        router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
+    router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
     start = time.perf_counter()
     codes, curve = _refine(data, pool.codes[:, :1], router, cfg, cfg.steps_stage1, cfg.router_warmup,
                            np.random.default_rng(cfg.seed + 1), 1)
@@ -215,6 +216,8 @@ def stage2(
     cfg.validate()
     if not shared_pool.token_shared or shared_pool.frozen:
         raise StageOrderError("stage 2 requires an unfrozen token-shared stage-1 pool")
+    if router.M != shared_pool.M:
+        raise HeaderMismatch(f"the router scores M={router.M} groups, the pool has M={shared_pool.M}")
     data = np.asarray(data, dtype=np.float64)
     router = router.copy()
     start = time.perf_counter()

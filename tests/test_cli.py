@@ -91,6 +91,16 @@ def test_config_shape_mismatch_is_config_error(tmp_path, token_corpus):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--dead-code-epochs", 0), ("--steps-stage1", -5),
+                                         ("--steps-stage2", -1), ("--router-warmup", -1)])
+def test_out_of_range_count_is_config_error(tmp_path, token_corpus, capsys, flag, value):
+    rc = run("train", "--data", token_corpus, "--out-dir", tmp_path / "o", "--stage", "1",
+             M_FLAG, 2, K_FLAG, 4, T_FLAG, 4, "--d", 4, flag, value)
+    assert rc == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "o" / "pool_stage1.pool").exists()
+
+
 def test_missing_data_file_is_data_error(tmp_path):
     rc = run("train", "--data", tmp_path / "nope.npz", "--out-dir", tmp_path / "o")
     assert rc == 3
@@ -260,6 +270,33 @@ def test_encode_cr_policy(tmp_path, trained):
              "--router", trained / "router_stage2.rtr", "--policy", "cr",
              "--out", tmp_path / "c.stscq", "--width", 4, "--height", 4)
     assert rc == 0
+
+
+def test_router_for_another_group_count_is_data_error(tmp_path, trained, token_corpus, capsys):
+    # an 8-group router against the 4-group pools used to end in an IndexError traceback
+    from stscq.router import init_router, save_router
+
+    save_router(init_router(4, 8, h=8, seed=0), tmp_path / "r8.rtr")
+    tok_path = tmp_path / "t.npy"
+    np.save(tok_path, np.random.default_rng(1).standard_normal((4, 4)))
+    runs = [
+        ("encode", "--tokens", tok_path, "--pool", trained / "pool_stage2.pool", "--router", tmp_path / "r8.rtr",
+         "--policy", "cr", "--out", tmp_path / "c.stscq", "--width", 4, "--height", 4),
+        ("eval", "--data", token_corpus, "--pool", trained / "pool_stage2.pool", "--router", tmp_path / "r8.rtr",
+         "--policy", "cr", "--out", tmp_path / "rd.csv"),
+    ]
+    stage2_dir = tmp_path / "run"
+    stage2_dir.mkdir()
+    (stage2_dir / "pool_stage1.pool").write_bytes((trained / "pool_stage1.pool").read_bytes())
+    (stage2_dir / "router_stage1.rtr").write_bytes((tmp_path / "r8.rtr").read_bytes())
+    runs.append(("train", "--data", token_corpus, "--out-dir", stage2_dir, "--stage", "2",
+                 M_FLAG, 4, K_FLAG, 8, T_FLAG, 4, "--d", 4, "--steps-stage2", 10))
+    for argv in runs:
+        assert run(*argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert "M=8" in err and "M=4" in err and "Traceback" not in err
+    assert not (tmp_path / "c.stscq").exists() and not (tmp_path / "rd.csv").exists()
+    assert not (stage2_dir / "pool_stage2.pool").exists()
 
 
 def test_eval_writes_csv_and_histograms(tmp_path, trained, token_corpus):

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific
+from stscq import trainer
+from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific, init_kmeanspp
 from stscq.errors import (
     DimensionMismatch,
+    HeaderMismatch,
     IndexOutOfRange,
     RangeViolation,
     ShapeMismatch,
@@ -21,7 +23,7 @@ from stscq.quantizer import (
     quantize_routed,
     search,
 )
-from stscq.router import route_naive
+from stscq.router import init_router, route_naive
 
 
 def brute_force_nearest(z, codes):
@@ -193,6 +195,59 @@ def test_search_ties_go_to_the_lowest_index(monkeypatch, cap, shared):
         assert not (got_i == 3).any()  # the later duplicate is never chosen
 
 
+def broadcast_search(batch, codes):
+    """The broadcast kernel that init_kmeanspp's Lloyd steps, init_stage1_pool's
+    shard assignment and quantize_one ran before they called search: n
+    single-token images against one (K, d) codebook through one (n, K, d)
+    difference. quantize_one subtracted the other way round, codes - z, which
+    squares to the same bits."""
+    assert batch.shape[1] == 1 and codes.shape[:2] == (1, 1)
+    samples, centers = batch[:, 0], codes[0, 0]
+    dists = ((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    idx = dists.argmin(axis=1)  # argmin returns the first minimum: lowest index
+    return idx[:, None, None], dists[np.arange(len(idx)), idx][:, None, None]
+
+
+def kmeans_codes(tokens):
+    return init_kmeanspp(tokens.reshape(-1, tokens.shape[2]), K=6, seed=3).codes
+
+
+def stage1_shards(tokens):
+    _, T, d = tokens.shape
+    return trainer.init_stage1_pool(tokens, trainer.TrainConfig(M=3, K=5, T=T, d=d, seed=1)).codes
+
+
+def nearest_codes(tokens):
+    flat = tokens.reshape(-1, tokens.shape[2])
+    cb = Codebook(flat[:12])  # on the grid, repeated tokens make duplicate codes
+    return np.array([quantize_one(z, cb) for z in np.concatenate([flat, flat + 0.5])])
+
+
+@pytest.mark.parametrize("cap", [quantizer._CHUNK_BYTES, 1], ids=["default", "one-token"])
+@pytest.mark.parametrize("data", ["random", "grid"])
+@pytest.mark.parametrize("kernel", [kmeans_codes, stage1_shards, nearest_codes], ids=lambda f: f.__name__)
+def test_search_callers_match_the_broadcast_formula(monkeypatch, kernel, data, cap):
+    """Integer grids tie exactly: duplicate points, and points midway between codes."""
+    rng = np.random.default_rng(18)
+    if data == "random":
+        tokens = rng.standard_normal((40, 4, 8))
+    else:
+        tokens = rng.integers(-2, 3, size=(40, 4, 8)).astype(float)
+        tokens[20:] = tokens[:20]
+    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
+    got = kernel(tokens)
+    monkeypatch.setattr(quantizer, "search", broadcast_search)
+    monkeypatch.setattr(trainer, "search", broadcast_search)
+    want = kernel(tokens)
+    if kernel is nearest_codes and data == "random":
+        # search's einsum sums the d squares in another order than .sum(axis=2):
+        # the same indices, and distances that may differ in the last bits
+        assert np.array_equal(got[:, 0], want[:, 0])
+        np.testing.assert_array_max_ulp(got[:, 1], want[:, 1], maxulp=4)
+    else:
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("cap", list(TIE_CAPS.values()), ids=list(TIE_CAPS))
 def test_tied_group_totals_route_to_the_lowest_group(monkeypatch, cap):
     monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
@@ -256,6 +311,20 @@ def test_routed_cr_without_router_raises():
     pool = random_pool(rng, M=2, T=3, K=2, d=2)
     with pytest.raises(UntrainedRouter):
         quantize_routed(rng.standard_normal((3, 2)), pool, policy="cr")
+
+
+@pytest.mark.parametrize("router_M", [1, 8])
+def test_cr_router_for_another_group_count_is_rejected(router_M):
+    # an 8-group router on a 2-group pool used to raise IndexError, or silently
+    # route among the first groups only
+    rng = np.random.default_rng(17)
+    pool = random_pool(rng, M=2, T=3, K=4, d=2)
+    router = init_router(2, router_M, h=8, seed=0)
+    tokens = rng.standard_normal((5, 3, 2))
+    with pytest.raises(HeaderMismatch, match=f"M={router_M} .* M=2"):
+        quantize_routed(tokens[0], pool, policy="cr", router=router)
+    with pytest.raises(HeaderMismatch, match=f"M={router_M} .* M=2"):
+        quantize_corpus(tokens, pool, policy="cr", router=router)
 
 
 def test_routed_nn_matches_double_brute_force():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from stscq.codebook import load_pool, save_pool
-from stscq.errors import DivergenceDetected, StageOrderError
+from stscq.errors import DivergenceDetected, HeaderMismatch, StageOrderError
 from stscq.latent import ImageBuffer, encode, fit_pca, image_patches
 from stscq.quantizer import dequantize, group_errors, quantize_routed
+from stscq.router import init_router
 from stscq.synth import ImageCorpusSpec, MixtureSpec, make_image_corpus, make_token_corpus
 from stscq.trainer import (
     TrainConfig,
@@ -126,6 +127,26 @@ def test_stage2_requires_token_shared_pool(mixture):
     pool2, router2 = stage2(tokens, pool1, router1, cfg)
     with pytest.raises(StageOrderError):
         stage2(tokens, pool2, router2, cfg)
+
+
+def test_stage2_rejects_a_router_for_another_group_count(mixture):
+    # routing a batch to group 5 of a 4-group pool used to raise IndexError
+    tokens, _, _ = mixture
+    cfg = small_cfg(steps_stage1=20, router_warmup=10)
+    pool1, _ = stage1(tokens, cfg)
+    with pytest.raises(HeaderMismatch, match="M=8 .* M=4"):
+        stage2(tokens, pool1, init_router(cfg.d, 8, h=cfg.hidden), cfg)
+
+
+@pytest.mark.parametrize("name, value", [("dead_code_epochs", 0), ("steps_stage1", -5),
+                                         ("steps_stage2", -1), ("router_warmup", -1)])
+def test_config_rejects_out_of_range_counts(mixture, name, value):
+    # dead_code_epochs=0 marked every code dead and re-seeded it each epoch
+    cfg = small_cfg(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        cfg.validate()
+    with pytest.raises(ValueError, match=name):
+        stage1(mixture[0], cfg)
 
 
 @pytest.mark.parametrize("T", [1, 4])
