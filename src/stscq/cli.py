@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from . import bitstream, synth
 from .codebook import load_pool, save_pool
 from .errors import BadSpec, DivergenceDetected, HeaderMismatch, StscqError
+from .latent import decode as pca_decode
 from .latent import encode as pca_encode
 from .latent import fit_pca, load_pca, read_pnm, save_pca, token_count, write_pnm
 from .metrics import (
@@ -38,66 +39,66 @@ EXIT_DATA = 3
 EXIT_DIVERGED = 4
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("STSCQ_SEED", "0"))
+def _build_spec(cls, raw, args):
+    """A validated `cls` from the JSON object `raw`, where each attribute of
+    `args` named after a field and not None wins. BadSpec for an unknown key or
+    a value that is not of its field's type (an int may stand for a float, but
+    a bool is not an int); STSCQ_SEED fills a missing seed."""
+    if not isinstance(raw, dict):
+        raise BadSpec(f"expected a JSON object of {cls.__name__} fields, got {type(raw).__name__}")
+    types = {f.name: type(f.default) for f in fields(cls)}
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise BadSpec(f"unknown config keys: {sorted(unknown)}")
+    values = dict(raw)
+    values.update((name, getattr(args, name)) for name in types if getattr(args, name, None) is not None)
+    for name, value in values.items():
+        if types[name] is float and type(value) is int:
+            values[name] = value = float(value)
+        if type(value) is not types[name]:
+            raise BadSpec(f"{name} must be {types[name].__name__}, got {value!r}")
+    values.setdefault("seed", int(os.environ.get("STSCQ_SEED", "0")))
+    spec = cls(**values)
+    spec.validate()
+    return spec
 
 
-def _load_train_config(args) -> TrainConfig:
-    values = {}
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text())
-        known = {f.name for f in fields(TrainConfig)}
-        unknown = set(raw) - known
-        if unknown:
-            raise BadSpec(f"unknown config keys: {sorted(unknown)}")
-        values.update(raw)
-    for f in fields(TrainConfig):
-        override = getattr(args, f.name, None)
-        if override is not None:
-            values[f.name] = override
-    values.setdefault("seed", _default_seed())
-    cfg = TrainConfig(**values)
-    cfg.validate()
-    return cfg
-
-
-def _load_token_data(path: Path, cfg: TrainConfig):
-    """Returns (tokens, labels, pca, images). Token .npz or an image manifest."""
-    if path.suffix == ".npz":
+def _load_corpus(path, make_pca):
+    """(tokens, labels, pca, images) from a token .npz, where pca and images are
+    None, or from an image manifest encoded with make_pca(images, spec)."""
+    if Path(path).suffix == ".npz":
         tokens, labels, _, _ = synth.load_token_corpus(path)
         return tokens, labels, None, None
     images, labels, spec = synth.load_image_corpus(path)
-    pca = fit_pca(images, spec.patch_size, cfg.d, seed=cfg.seed)
-    tokens = np.stack([pca_encode(img, pca).values for img in images])
-    return tokens, labels, pca, images
+    pca = make_pca(images, spec)
+    return np.stack([pca_encode(img, pca).values for img in images]), labels, pca, images
+
+
+def _training_corpus(args):
+    """The TrainConfig and the corpus of train and sweep; a manifest's PCA is fitted at the config's d."""
+    cfg = _build_spec(TrainConfig, json.loads(Path(args.config).read_text()) if args.config else {}, args)
+    corpus = _load_corpus(args.data, lambda images, spec: fit_pca(images, spec.patch_size, cfg.d, seed=cfg.seed))
+    if corpus[0].shape[1:] != (cfg.T, cfg.d):
+        raise BadSpec(f"data tokens are {corpus[0].shape[1:]} but config says (T={cfg.T}, d={cfg.d})")
+    return cfg, corpus
+
+
+def _rd_point(corpus, pool, policy, router, seed=0):
+    """eval_rd at the images' own geometry, or eval_rd_tokens for a token corpus."""
+    tokens, _, pca, images = corpus
+    if images is None:
+        return eval_rd_tokens(tokens, pool, policy=policy, router=router, seed=seed)
+    return eval_rd(images, pca, pool, policy=policy, router=router, seed=seed)
 
 
 def cmd_synth(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.kind == "tokens":
-        spec = synth.MixtureSpec(
-            clusters=args.clusters,
-            T=args.tokens,
-            d=args.dim,
-            samples=args.samples,
-            separation=args.separation,
-            sigma=args.sigma,
-            seed=seed,
-        )
+        spec = _build_spec(synth.MixtureSpec, {}, args)
         tokens, labels, means = synth.make_token_corpus(spec)
         synth.save_token_corpus(args.out, tokens, labels, means, spec)
         print(f"wrote {args.out}: {tokens.shape[0]} token matrices, {spec.clusters} clusters")
     else:
-        spec = synth.ImageCorpusSpec(
-            clusters=args.clusters,
-            width=args.width,
-            height=args.height,
-            channels=args.channels,
-            patch_size=args.patch_size,
-            samples=args.samples,
-            sigma=args.sigma,
-            seed=seed,
-        )
+        spec = _build_spec(synth.ImageCorpusSpec, {}, args)
         images, labels = synth.make_image_corpus(spec)
         manifest = synth.save_image_corpus(args.out, images, labels, spec)
         print(f"wrote {manifest}: {len(images)} images, {spec.clusters} clusters")
@@ -105,14 +106,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_train_config(args)
+    cfg, (tokens, _, pca, images) = _training_corpus(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tokens, _, pca, images = _load_token_data(Path(args.data), cfg)
-    if tokens.shape[1] != cfg.T or tokens.shape[2] != cfg.d:
-        raise BadSpec(
-            f"data tokens are {tokens.shape[1:]} but config says (T={cfg.T}, d={cfg.d})"
-        )
     stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
     report = TrainReport()
 
@@ -131,7 +127,7 @@ def cmd_train(args) -> int:
         p2 = out / "pool_stage2.pool"
         if not p2.exists():
             raise StscqError("stage 3 requires stage-2 artifacts; run --stage 2 first")
-        if images is None or pca is None:
+        if images is None:
             raise StscqError("stage 3 needs an image corpus (manifest), not raw tokens")
         pool = load_pool(p2)
         refit = stage3(images, pool, pca, cfg, report=report)
@@ -188,8 +184,6 @@ def cmd_decode(args) -> int:
     q = bitstream.deserialize(raw, pool)
     tokens = dequantize(q, pool)
     if args.pca:
-        from .latent import decode as pca_decode
-
         pca = load_pca(args.pca)
         _check_geometry(header, pca, args.pca)
         img = pca_decode(tokens, pca, header.width, header.height)
@@ -204,17 +198,15 @@ def cmd_decode(args) -> int:
 def cmd_eval(args) -> int:
     pool = load_pool(args.pool)
     router = load_router(args.router) if args.router else None
-    data_path = Path(args.data)
-    if data_path.suffix == ".npz":
-        tokens, labels, _, _ = synth.load_token_corpus(data_path)
-        point = eval_rd_tokens(tokens, pool, policy=args.policy, router=router)
-        hists = routing_histogram(tokens, pool, policy=args.policy, router=router, labels=labels)
-    else:
-        images, labels, _ = synth.load_image_corpus(data_path)
-        pca = load_pca(args.pca)
-        point = eval_rd(images, pca, pool, policy=args.policy, router=router)
-        token_list = [pca_encode(img, pca).values for img in images]
-        hists = routing_histogram(token_list, pool, policy=args.policy, router=router, labels=labels)
+
+    def given_pca(images, spec):
+        if not args.pca:
+            raise BadSpec("eval over an image manifest needs --pca")
+        return load_pca(args.pca)
+
+    corpus = _load_corpus(args.data, given_pca)
+    point = _rd_point(corpus, pool, args.policy, router)
+    hists = routing_histogram(corpus[0], pool, policy=args.policy, router=router, labels=corpus[1])
     write_rd_csv([point], args.out)
     write_gnuplot_script(args.out, str(args.out) + ".gp")
     write_histogram_json(hists, str(args.out) + ".hist.json")
@@ -223,20 +215,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_train_config(args)
-    tokens, _, _, _ = _load_token_data(Path(args.data), cfg)
+    cfg, corpus = _training_corpus(args)
+    tokens = corpus[0]
     points = []
     for M in [int(x) for x in args.m_values.split(",")]:
-        from dataclasses import replace
-
         mcfg = replace(cfg, M=M)
         report = TrainReport()
         pool, router = stage1(tokens, mcfg, report=report)
         pool, router = stage2(tokens, pool, router, mcfg, report=report)
         for policy in ("nn", "cr"):
-            points.append(
-                eval_rd_tokens(tokens, pool, policy=policy, router=router, seed=mcfg.seed)
-            )
+            points.append(_rd_point(corpus, pool, policy, router, seed=mcfg.seed))
     write_rd_csv(points, args.out)
     write_gnuplot_script(args.out, str(args.out) + ".gp")
     print(f"wrote {args.out}: {len(points)} rate-distortion points")
@@ -251,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--kind", choices=["tokens", "images"], default="tokens")
     ps.add_argument("--out", required=True)
     ps.add_argument("--clusters", type=int, default=8)
-    ps.add_argument("--tokens", type=int, default=16, help="tokens per matrix")
-    ps.add_argument("--dim", type=int, default=8)
+    ps.add_argument("--tokens", dest="T", type=int, default=16, help="tokens per matrix")
+    ps.add_argument("--dim", dest="d", type=int, default=8)
     ps.add_argument("--samples", type=int, default=512)
     ps.add_argument("--separation", type=float, default=5.0)
     ps.add_argument("--sigma", type=float, default=0.5)
@@ -263,14 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=None)
     ps.set_defaults(func=cmd_synth)
 
-    pt = sub.add_parser("train", help="run the three-stage training pipeline")
-    pt.add_argument("--data", required=True, help="token .npz or image manifest.json")
-    pt.add_argument("--out-dir", required=True)
-    pt.add_argument("--config", help="JSON file with TrainConfig fields")
-    pt.add_argument("--stage", choices=["1", "2", "3", "all"], default="all")
+    # the options train and sweep share: the corpus and every TrainConfig field
+    training = argparse.ArgumentParser(add_help=False)
+    training.add_argument("--data", required=True, help="token .npz or image manifest.json")
+    training.add_argument("--config", help="JSON file with TrainConfig fields")
     for f in fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        pt.add_argument(flag, dest=f.name, type=type(f.default), default=None)
+        training.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=type(f.default), default=None)
+
+    pt = sub.add_parser("train", parents=[training], help="run the three-stage training pipeline")
+    pt.add_argument("--out-dir", required=True)
+    pt.add_argument("--stage", choices=["1", "2", "3", "all"], default="all")
     pt.set_defaults(func=cmd_train)
 
     pe = sub.add_parser("encode", help="encode an image or token file to a stream")
@@ -295,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=cmd_decode)
 
     pv = sub.add_parser("eval", help="evaluate trained artifacts on a corpus")
-    pv.add_argument("--data", required=True)
+    pv.add_argument("--data", required=True, help="token .npz, or image manifest.json with --pca")
     pv.add_argument("--pool", required=True)
     pv.add_argument("--pca")
     pv.add_argument("--router")
@@ -303,14 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", required=True)
     pv.set_defaults(func=cmd_eval)
 
-    pw = sub.add_parser("sweep", help="train and evaluate across group counts")
-    pw.add_argument("--data", required=True)
-    pw.add_argument("--config")
+    pw = sub.add_parser("sweep", parents=[training], help="train and evaluate across group counts")
     pw.add_argument("--m-values", default="1,2,4,8,16")
     pw.add_argument("--out", required=True)
-    for f in fields(TrainConfig):
-        flag = "--" + f.name.replace("_", "-")
-        pw.add_argument(flag, dest=f.name, type=type(f.default), default=None)
     pw.set_defaults(func=cmd_sweep)
 
     return p
@@ -320,7 +305,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadSpec, json.JSONDecodeError, ValueError) as e:
+    except (BadSpec, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceDetected as e:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import artifact
 from .codebook import CodebookPool
-from .errors import DimensionMismatch, EmptyBatch, LengthMismatch, ShapeMismatch
+from .errors import DimensionMismatch, EmptyBatch, LengthMismatch, RangeViolation, ShapeMismatch
 from .quantizer import _tokens_2d, group_errors
 
 ROUTER_MAGIC = b"STSCQRTR"
@@ -90,7 +90,10 @@ def route_naive(tokens, pool: CodebookPool) -> int:
 
 def route_learned(tokens, p: RouterParams) -> tuple[int, np.ndarray]:
     """argmax of the scorer's distribution; returns (group_index, probs)."""
-    probs = router_probs(_pool_tokens(tokens), p)
+    x = _pool_tokens(tokens)
+    if not np.isfinite(x).all():
+        raise RangeViolation("tokens must be finite")
+    probs = router_probs(x, p)
     return int(probs.argmax()), probs
 
 

@@ -98,7 +98,10 @@ def init_stage1_pool(data: np.ndarray, cfg: TrainConfig) -> CodebookPool:
         shard = np.nonzero(assign == i)[0]
         if shard.size * cfg.T < cfg.K:
             # thin cell: top up with random images so k-means++ has material
-            extra = rng.choice(n, size=max(cfg.K // cfg.T + 1, 4), replace=False)
+            top_up = max(cfg.K // cfg.T + 1, 4)
+            if n < top_up:
+                raise TooFewSamples(f"{n} samples cannot top up a thin shard with {top_up}")
+            extra = rng.choice(n, size=top_up, replace=False)
             shard = np.unique(np.concatenate([shard, extra]))
         flat = data[shard].reshape(-1, cfg.d)
         shared.append(init_kmeanspp(flat, cfg.K, seed=cfg.seed * 1000 + i).codes)
@@ -216,6 +219,10 @@ def stage2(
     cfg.validate()
     if not shared_pool.token_shared or shared_pool.frozen:
         raise StageOrderError("stage 2 requires an unfrozen token-shared stage-1 pool")
+    for name in ("M", "T", "K", "d"):
+        if getattr(shared_pool, name) != getattr(cfg, name):
+            raise HeaderMismatch(f"the stage-1 pool has {name}={getattr(shared_pool, name)}, "
+                                 f"the config says {name}={getattr(cfg, name)}")
     if router.M != shared_pool.M:
         raise HeaderMismatch(f"the router scores M={router.M} groups, the pool has M={shared_pool.M}")
     data = np.asarray(data, dtype=np.float64)

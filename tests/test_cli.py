@@ -372,3 +372,112 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert run("synth", "--kind", "tokens", "--out", p2, "--samples", 16, "--seed", 11) == 0
     with np.load(p1) as a, np.load(p2) as b:
         assert np.array_equal(a["tokens"], b["tokens"])
+
+
+def read_csv(path):
+    import csv
+
+    with open(path) as f:
+        return list(csv.DictReader(f))
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "raw",
+    ["5", "[1, 2]", '"M"', '{"M": "4"}', '{"M": 2.5}', '{"M": true}', '{"lam1": false}', '{"seed": null}'],
+    ids=["number", "list", "string", "string-for-int", "float-for-int", "bool-for-int", "bool-for-float", "null"],
+)
+def test_malformed_config_is_config_error(tmp_path, token_corpus, capsys, command, raw):
+    # a non-object used to reach set(raw), and a string or float M reached
+    # TrainConfig, each ending in a TypeError traceback
+    (tmp_path / "cfg.json").write_text(raw)
+    out = ["--out-dir", tmp_path / "o"] if command == "train" else ["--out", tmp_path / "s.csv"]
+    rc = run(command, "--data", token_corpus, "--config", tmp_path / "cfg.json", *out)
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "s.csv").exists()
+
+
+def test_config_file_trains_like_the_same_flags(tmp_path, token_corpus):
+    # an int stands for a float field: "lam1": 1 is --lam1 1.0
+    config = {"M": 2, "K": 4, "T": 4, "d": 4, "steps_stage1": 30, "router_warmup": 10,
+              "learning_rate": 0.05, "batch_size": 16, "lam1": 1, "seed": 2}
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run("train", "--data", token_corpus, "--out-dir", tmp_path / "a", "--stage", "1",
+               "--config", tmp_path / "cfg.json") == 0
+    flags = [x for name, value in config.items() for x in ("--" + name.replace("_", "-"), value)]
+    assert run("train", "--data", token_corpus, "--out-dir", tmp_path / "b", "--stage", "1", *flags) == 0
+    for name in ("pool_stage1.pool", "router_stage1.rtr"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_stage2_over_a_pool_of_another_K_is_data_error(tmp_path, token_corpus, capsys):
+    # stage 2 used to broadcast the K=4 codes to K=8 and exit 2 with numpy's ValueError
+    shape = [M_FLAG, 2, T_FLAG, 4, "--d", 4, "--batch-size", 16]
+    assert run("train", "--data", token_corpus, "--out-dir", tmp_path, "--stage", "1", K_FLAG, 4,
+               "--steps-stage1", 20, "--router-warmup", 10, *shape) == 0
+    capsys.readouterr()
+    rc = run("train", "--data", token_corpus, "--out-dir", tmp_path, "--stage", "2", K_FLAG, 8,
+             "--steps-stage2", 10, *shape)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "K=4" in err and "K=8" in err and "Traceback" not in err
+    assert not (tmp_path / "pool_stage2.pool").exists()
+
+
+def test_too_few_samples_for_a_thin_shard_is_data_error(tmp_path, capsys):
+    assert run("synth", "--kind", "tokens", "--out", tmp_path / "c.npz", "--tokens", 4, "--dim", 2,
+               "--samples", 3, "--clusters", 2) == 0
+    rc = run("train", "--data", tmp_path / "c.npz", "--out-dir", tmp_path / "o", "--stage", "1",
+             M_FLAG, 2, K_FLAG, 8, T_FLAG, 4, "--d", 2)
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_eval_manifest_without_pca_is_config_error(tmp_path, trained, image_corpus, capsys):
+    rc = run("eval", "--data", image_corpus, "--pool", trained / "pool_stage2.pool", "--out", tmp_path / "rd.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--pca" in err and "Traceback" not in err
+    assert not (tmp_path / "rd.csv").exists()
+
+
+def test_sweep_over_images_reports_what_eval_reports(tmp_path, image_corpus):
+    # sweep used to evaluate an image corpus as bare tokens at 256x256: bpp 0.0005
+    # for these 16x16 images, and no pixel_mse or psnr
+    flags = [K_FLAG, 4, T_FLAG, 16, "--d", 4, "--steps-stage1", 40, "--steps-stage2", 40,
+             "--learning-rate", 0.05, "--batch-size", 8, "--router-warmup", 10, "--seed", 0]
+    assert run("sweep", "--data", image_corpus, "--m-values", "2", "--out", tmp_path / "s.csv", *flags) == 0
+    run_dir = tmp_path / "run"
+    assert run("train", "--data", image_corpus, "--out-dir", run_dir, M_FLAG, 2, *flags) == 0
+    assert run("eval", "--data", image_corpus, "--pool", run_dir / "pool_stage2.pool",
+               "--pca", run_dir / "pca.pca", "--out", tmp_path / "rd.csv") == 0
+    swept, (evaluated,) = read_csv(tmp_path / "s.csv"), read_csv(tmp_path / "rd.csv")
+    assert evaluated["bpp"] == "0.12890625"  # (1 + 16·2) payload bits over 16·16 pixels
+    assert [row for row in swept if row["policy"] == "nn"] == [evaluated]
+    for row in swept:
+        assert row["bpp"] == evaluated["bpp"]
+        assert float(row["pixel_mse"]) > 0 and float(row["psnr"]) > 0
+
+
+def test_synth_matches_the_library_corpus(tmp_path):
+    from stscq import synth
+
+    assert run("synth", "--kind", "tokens", "--out", tmp_path / "t.npz", "--clusters", 3, "--tokens", 5,
+               "--dim", 2, "--samples", 12, "--separation", 2.0, "--sigma", 0.25, "--seed", 4) == 0
+    spec = synth.MixtureSpec(clusters=3, T=5, d=2, samples=12, separation=2.0, sigma=0.25, seed=4)
+    *arrays, saved_spec = synth.load_token_corpus(tmp_path / "t.npz")
+    assert saved_spec == spec
+    for got, want in zip(arrays, synth.make_token_corpus(spec)):
+        assert np.array_equal(got, want)
+
+    assert run("synth", "--kind", "images", "--out", tmp_path / "cli", "--clusters", 2, "--width", 8,
+               "--height", 16, "--channels", 3, "--patch-size", 4, "--samples", 5, "--sigma", 0.1,
+               "--seed", 7) == 0
+    spec = synth.ImageCorpusSpec(clusters=2, width=8, height=16, channels=3, patch_size=4, samples=5,
+                                 sigma=0.1, seed=7)
+    synth.save_image_corpus(tmp_path / "lib", *synth.make_image_corpus(spec), spec)
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "cli").iterdir()) and len(names) == 6
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name

@@ -51,6 +51,15 @@ def test_route_learned_probs_sum_to_one():
         assert (probs >= 0).all()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_route_learned_rejects_non_finite_tokens(bad):
+    # NaN probabilities used to come back with group 0
+    tokens = np.zeros((3, 4))
+    tokens[1, 2] = bad
+    with pytest.raises(RangeViolation):
+        route_learned(tokens, init_router(4, 3, h=8))
+
+
 def test_route_naive_single_group():
     cb = Codebook(np.zeros((2, 2)))
     pool = CodebookPool([TokenSpecificGroup([cb] * 3)])

@@ -1,10 +1,11 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stscq.codebook import load_pool, save_pool
-from stscq.errors import DivergenceDetected, HeaderMismatch, StageOrderError
+from stscq.errors import DivergenceDetected, HeaderMismatch, StageOrderError, TooFewSamples
 from stscq.latent import ImageBuffer, encode, fit_pca, image_patches
 from stscq.quantizer import dequantize, group_errors, quantize_routed
 from stscq.router import init_router
@@ -136,6 +137,25 @@ def test_stage2_rejects_a_router_for_another_group_count(mixture):
     pool1, _ = stage1(tokens, cfg)
     with pytest.raises(HeaderMismatch, match="M=8 .* M=4"):
         stage2(tokens, pool1, init_router(cfg.d, 8, h=cfg.hidden), cfg)
+
+
+@pytest.mark.parametrize("name, value", [("M", 2), ("T", 2), ("K", 4), ("d", 2)])
+def test_stage2_rejects_a_pool_of_another_shape(mixture, name, value):
+    # the stage-1 codes used to be broadcast to the config's shape, which failed
+    # with numpy's ValueError naming neither value
+    tokens, _, _ = mixture
+    cfg = small_cfg(steps_stage1=20, router_warmup=10)
+    pool1, router1 = stage1(tokens, cfg)
+    with pytest.raises(HeaderMismatch, match=f"{name}={getattr(cfg, name)}.* {name}={value}"):
+        stage2(tokens, pool1, router1, replace(cfg, **{name: value}))
+
+
+def test_init_stage1_pool_needs_enough_samples_to_top_up_a_thin_shard():
+    # 3 matrices fill M=2 shards, but one holds at most one matrix (4 tokens < K=8),
+    # and its top-up draws max(K // T + 1, 4) = 4 distinct matrices
+    data = np.random.default_rng(0).standard_normal((3, 4, 2))
+    with pytest.raises(TooFewSamples, match="3 samples"):
+        init_stage1_pool(data, small_cfg(M=2, K=8, T=4, d=2))
 
 
 @pytest.mark.parametrize("name, value", [("dead_code_epochs", 0), ("steps_stage1", -5),
