@@ -17,18 +17,11 @@ import numpy as np
 
 from . import bitstream, synth
 from .codebook import load_pool, save_pool
-from .errors import BadSpec, DivergenceDetected, HeaderMismatch, StscqError
+from .errors import BadSpec, DivergenceDetected, HeaderMismatch, ShapeMismatch, StscqError
 from .latent import decode as pca_decode
 from .latent import encode as pca_encode
 from .latent import fit_pca, load_pca, read_pnm, save_pca, token_count, write_pnm
-from .metrics import (
-    eval_rd,
-    eval_rd_tokens,
-    routing_histogram,
-    write_gnuplot_script,
-    write_histogram_json,
-    write_rd_csv,
-)
+from .metrics import eval_rd_tokens, routing_histogram, write_gnuplot_script, write_histogram_json, write_rd_csv
 from .quantizer import dequantize, quantize_routed
 from .router import load_router, save_router
 from .trainer import TrainConfig, TrainReport, stage1, stage2, stage3
@@ -40,27 +33,12 @@ EXIT_DIVERGED = 4
 
 
 def _build_spec(cls, raw, args):
-    """A validated `cls` from the JSON object `raw`, where each attribute of
-    `args` named after a field and not None wins. BadSpec for an unknown key or
-    a value that is not of its field's type (an int may stand for a float, but
-    a bool is not an int); STSCQ_SEED fills a missing seed."""
-    if not isinstance(raw, dict):
-        raise BadSpec(f"expected a JSON object of {cls.__name__} fields, got {type(raw).__name__}")
-    types = {f.name: type(f.default) for f in fields(cls)}
-    unknown = set(raw) - set(types)
-    if unknown:
-        raise BadSpec(f"unknown config keys: {sorted(unknown)}")
-    values = dict(raw)
-    values.update((name, getattr(args, name)) for name in types if getattr(args, name, None) is not None)
-    for name, value in values.items():
-        if types[name] is float and type(value) is int:
-            values[name] = value = float(value)
-        if type(value) is not types[name]:
-            raise BadSpec(f"{name} must be {types[name].__name__}, got {value!r}")
-    values.setdefault("seed", int(os.environ.get("STSCQ_SEED", "0")))
-    spec = cls(**values)
-    spec.validate()
-    return spec
+    """synth.build_spec of `raw`, where each attribute of `args` named after a
+    field and not None wins; STSCQ_SEED fills a missing seed."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name, None) is not None}
+    if isinstance(raw, dict) and "seed" not in raw:
+        overrides.setdefault("seed", int(os.environ.get("STSCQ_SEED", "0")))
+    return synth.build_spec(cls, raw, overrides)
 
 
 def _load_corpus(path, make_pca):
@@ -81,14 +59,6 @@ def _training_corpus(args):
     if corpus[0].shape[1:] != (cfg.T, cfg.d):
         raise BadSpec(f"data tokens are {corpus[0].shape[1:]} but config says (T={cfg.T}, d={cfg.d})")
     return cfg, corpus
-
-
-def _rd_point(corpus, pool, policy, router, seed=0):
-    """eval_rd at the images' own geometry, or eval_rd_tokens for a token corpus."""
-    tokens, _, pca, images = corpus
-    if images is None:
-        return eval_rd_tokens(tokens, pool, policy=policy, router=router, seed=seed)
-    return eval_rd(images, pca, pool, policy=policy, router=router, seed=seed)
 
 
 def cmd_synth(args) -> int:
@@ -163,6 +133,8 @@ def cmd_encode(args) -> int:
         width, height, channels = img.width, img.height, img.channels
     else:
         tokens = np.load(args.tokens)
+        if not isinstance(tokens, np.ndarray):
+            raise ShapeMismatch(f"{args.tokens} holds no single (T, d) token array; save one with numpy.save")
         width, height, channels = args.width, args.height, pca.channels if pca else 1
     header = bitstream.StreamHeader(
         M=pool.M, K=pool.K, T=pool.T, width=width, height=height, channels=channels
@@ -204,9 +176,9 @@ def cmd_eval(args) -> int:
             raise BadSpec("eval over an image manifest needs --pca")
         return load_pca(args.pca)
 
-    corpus = _load_corpus(args.data, given_pca)
-    point = _rd_point(corpus, pool, args.policy, router)
-    hists = routing_histogram(corpus[0], pool, policy=args.policy, router=router, labels=corpus[1])
+    tokens, labels, pca, images = _load_corpus(args.data, given_pca)
+    point = eval_rd_tokens(tokens, pool, policy=args.policy, router=router, images=images, pca=pca)
+    hists = routing_histogram(point.groups, pool.M, labels)
     write_rd_csv([point], args.out)
     write_gnuplot_script(args.out, str(args.out) + ".gp")
     write_histogram_json(hists, str(args.out) + ".hist.json")
@@ -215,8 +187,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, corpus = _training_corpus(args)
-    tokens = corpus[0]
+    cfg, (tokens, _, pca, images) = _training_corpus(args)
     points = []
     for M in [int(x) for x in args.m_values.split(",")]:
         mcfg = replace(cfg, M=M)
@@ -224,7 +195,8 @@ def cmd_sweep(args) -> int:
         pool, router = stage1(tokens, mcfg, report=report)
         pool, router = stage2(tokens, pool, router, mcfg, report=report)
         for policy in ("nn", "cr"):
-            points.append(_rd_point(corpus, pool, policy, router, seed=mcfg.seed))
+            points.append(eval_rd_tokens(tokens, pool, policy=policy, router=router, seed=mcfg.seed,
+                                         images=images, pca=pca))
     write_rd_csv(points, args.out)
     write_gnuplot_script(args.out, str(args.out) + ".gp")
     print(f"wrote {args.out}: {len(points)} rate-distortion points")

@@ -6,14 +6,14 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bitstream import bpp
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup, UtilizationStats, index_histograms, utilization
 from .errors import EmptyCorpus, LengthMismatch
-from .latent import PcaTransform, decode, encode
+from .latent import ImageBuffer, PcaTransform, decode, encode
 from .quantizer import codes_at, quantize_corpus
 
 
@@ -28,6 +28,8 @@ class RdPoint:
     latent_mse: float
     pixel_mse: float | None = None
     psnr: float | None = None
+    # the (N,) group each token matrix was quantized under; not a CSV column
+    groups: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -52,94 +54,59 @@ def eval_rd(
     seed: int = 0,
 ) -> RdPoint:
     """Mean latent and pixel distortion over an image corpus plus its bpp."""
-    corpus = list(corpus)
-    if not corpus:
-        raise EmptyCorpus("eval_rd needs at least one image")
-    latent_sq = 0.0
-    latent_n = 0
-    pixel_sq = 0.0
-    pixel_n = 0
-    tokens = [encode(img, pca).values for img in corpus]
-    groups, indices, _ = quantize_corpus(tokens, pool, policy=policy, router=router)
-    for img, values, z_q in zip(corpus, tokens, codes_at(pool, groups, indices)):
-        latent_sq += float(((values - z_q) ** 2).sum())
-        latent_n += values.size
-        recon = decode(z_q, pca, img.width, img.height)
-        pixel_sq += float(((img.data - recon.data) ** 2).sum())
-        pixel_n += img.data.size
-    pixel_mse = pixel_sq / pixel_n
-    return RdPoint(
-        M=pool.M,
-        K=pool.K,
-        T=pool.T,
-        policy=policy,
-        seed=seed,
-        bpp=bpp(pool.T, pool.K, pool.M, corpus[-1].width, corpus[-1].height),
-        latent_mse=latent_sq / latent_n,
-        pixel_mse=pixel_mse,
-        psnr=psnr_from_mse(pixel_mse),
-    )
+    images = list(corpus)
+    tokens = [encode(img, pca).values for img in images]
+    return eval_rd_tokens(tokens, pool, policy=policy, router=router, seed=seed, images=images, pca=pca)
 
 
 def eval_rd_tokens(
-    corpus: np.ndarray,
+    corpus,
     pool: CodebookPool,
     policy: str = "nn",
     router=None,
     width: int = 256,
     height: int = 256,
     seed: int = 0,
+    images: list[ImageBuffer] | None = None,
+    pca: PcaTransform | None = None,
 ) -> RdPoint:
-    """Latent-only rate-distortion point for a raw token corpus."""
-    corpus = np.asarray(corpus, dtype=np.float64)
-    if corpus.size == 0:
-        raise EmptyCorpus("eval_rd_tokens needs at least one token matrix")
+    """Rate-distortion point of N (T, d) token matrices from one search of the pool.
+
+    Given the images the tokens were encoded from and their PCA, the point also
+    has pixel MSE and PSNR, and its bpp is at the images' own geometry.
+    """
+    if len(corpus) == 0:
+        raise EmptyCorpus("a rate-distortion point needs at least one token matrix")
     groups, indices, _ = quantize_corpus(corpus, pool, policy=policy, router=router)
-    total_sq = 0.0
-    for tokens, z_q in zip(corpus, codes_at(pool, groups, indices)):
-        total_sq += float(((tokens - z_q) ** 2).sum())
-    return RdPoint(
-        M=pool.M,
-        K=pool.K,
-        T=pool.T,
-        policy=policy,
-        seed=seed,
-        bpp=bpp(pool.T, pool.K, pool.M, width, height),
-        latent_mse=total_sq / corpus.size,
-    )
+    z_q = codes_at(pool, groups, indices)
+    latent_sq = sum(float(((values - z) ** 2).sum()) for values, z in zip(corpus, z_q))
+    pixel_mse = psnr = None
+    if images is not None:
+        width, height = images[-1].width, images[-1].height
+        pixel_sq = sum(float(((img.data - decode(z, pca, img.width, img.height).data) ** 2).sum())
+                       for img, z in zip(images, z_q))
+        pixel_mse = pixel_sq / sum(img.data.size for img in images)
+        psnr = psnr_from_mse(pixel_mse)
+    return RdPoint(M=pool.M, K=pool.K, T=pool.T, policy=policy, seed=seed,
+                   bpp=bpp(pool.T, pool.K, pool.M, width, height), latent_mse=latent_sq / z_q.size,
+                   pixel_mse=pixel_mse, psnr=psnr, groups=groups)
 
 
-def routing_histogram(
-    corpus,
-    pool: CodebookPool,
-    policy: str = "nn",
-    router=None,
-    labels=None,
-) -> dict[str, RoutingHistogram]:
-    """Per-label counts of selected group indices; key "all" when unlabeled."""
-    choices = quantize_corpus(corpus, pool, policy=policy, router=router)[0]
+def routing_histogram(groups, M: int, labels=None) -> dict[str, RoutingHistogram]:
+    """Per-label counts of the (N,) selected group indices; key "all" when unlabeled."""
+    groups = np.asarray(groups, dtype=np.intp)
     if labels is None:
-        labels = ["all"] * len(choices)
-    if len(labels) != len(choices):
-        raise LengthMismatch(f"{len(labels)} labels for {len(choices)} token matrices")
-    out: dict[str, RoutingHistogram] = {}
-    for lab in sorted({str(l) for l in labels}):
-        counts = np.zeros(pool.M, dtype=np.int64)
-        for c, l in zip(choices, labels):
-            if str(l) == lab:
-                counts[c] += 1
-        out[lab] = RoutingHistogram(counts=counts.tolist(), attribute_label=lab)
-    return out
+        labels = ["all"] * len(groups)
+    if len(labels) != len(groups):
+        raise LengthMismatch(f"{len(labels)} labels for {len(groups)} token matrices")
+    names, label_of = np.unique(np.array([str(l) for l in labels], dtype=str), return_inverse=True)
+    counts = np.bincount(label_of * M + groups, minlength=len(names) * M).reshape(-1, M)
+    return {lab: RoutingHistogram(counts=c.tolist(), attribute_label=lab) for lab, c in zip(names.tolist(), counts)}
 
 
-def assignment_histograms_shared(corpus: np.ndarray, shared: Codebook, T: int) -> np.ndarray:
-    """(T, K) index histograms of a token corpus under one shared codebook."""
-    return assignment_histograms_group(corpus, TokenSpecificGroup(shared.codes[None], T))
-
-
-def assignment_histograms_group(corpus: np.ndarray, group: TokenSpecificGroup) -> np.ndarray:
-    indices = quantize_corpus(corpus, CodebookPool(group.codes[None], T=group.T))[1]
-    return index_histograms(indices, group.K)
+def corpus_utilization(corpus, pool: CodebookPool) -> UtilizationStats:
+    """Per-token code utilization of a token corpus quantized under a pool's nearest groups."""
+    return utilization(index_histograms(quantize_corpus(corpus, pool)[1], pool.K), pool.K)
 
 
 def compare_utilization(
@@ -148,9 +115,8 @@ def compare_utilization(
     tsc: TokenSpecificGroup,
 ) -> tuple[UtilizationStats, UtilizationStats]:
     """Utilization under a global-shared codebook versus token-specific ones."""
-    shared_hist = assignment_histograms_shared(corpus, shared, tsc.T)
-    tsc_hist = assignment_histograms_group(corpus, tsc)
-    return utilization(shared_hist, shared.K), utilization(tsc_hist, tsc.K)
+    return (corpus_utilization(corpus, CodebookPool(shared.codes[None, None], T=tsc.T)),
+            corpus_utilization(corpus, CodebookPool(tsc.codes[None], T=tsc.T)))
 
 
 RD_CSV_FIELDS = ["M", "K", "T", "policy", "seed", "bpp", "latent_mse", "pixel_mse", "psnr"]

@@ -7,13 +7,37 @@ fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadSpec
 from .latent import ImageBuffer, write_pnm
+
+
+def build_spec(cls, raw, overrides=None):
+    """A validated `cls` from the JSON object `raw` updated with `overrides`.
+
+    BadSpec for an unknown key or a value that is not of its field's type (an
+    int may stand for a float, but a bool is not an int).
+    """
+    if not isinstance(raw, dict):
+        raise BadSpec(f"expected a JSON object of {cls.__name__} fields, got {type(raw).__name__}")
+    types = {f.name: type(f.default) for f in fields(cls)}
+    unknown = set(raw) - set(types)
+    if unknown:
+        raise BadSpec(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    values = {**raw, **(overrides or {})}
+    for name, value in values.items():
+        if types[name] is float and type(value) is int:
+            values[name] = value = float(value)
+        if type(value) is not types[name]:
+            raise BadSpec(f"{name} must be {types[name].__name__}, got {value!r}")
+    spec = cls(**values)
+    spec.validate()
+    return spec
 
 
 @dataclass
@@ -29,6 +53,8 @@ class MixtureSpec:
     def validate(self) -> None:
         if self.clusters < 1 or self.T < 1 or self.d < 1 or self.samples < 1:
             raise BadSpec("counts must be >= 1")
+        if not (math.isfinite(self.sigma) and math.isfinite(self.separation)):
+            raise BadSpec("separation and sigma must be finite")
         if self.sigma < 0 or self.separation < 0:
             raise BadSpec("separation and sigma must be non-negative")
 
@@ -61,7 +87,10 @@ def save_token_corpus(path, tokens, labels, means, spec: MixtureSpec) -> None:
 
 def load_token_corpus(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, MixtureSpec]:
     with np.load(path, allow_pickle=False) as z:
-        spec = MixtureSpec(**json.loads(str(z["spec"])))
+        missing = {"tokens", "labels", "means", "spec"} - set(z.files)
+        if missing:
+            raise BadSpec(f"{path} has no {sorted(missing)}")
+        spec = build_spec(MixtureSpec, json.loads(str(z["spec"])))
         return z["tokens"], z["labels"], z["means"], spec
 
 
@@ -83,6 +112,8 @@ class ImageCorpusSpec:
             raise BadSpec("channels must be 1 or 3")
         if self.clusters < 1 or self.samples < 1:
             raise BadSpec("counts must be >= 1")
+        if not math.isfinite(self.sigma):
+            raise BadSpec("sigma must be finite")
 
 
 def _smooth_pattern(rng, height, width, channels) -> np.ndarray:
@@ -128,7 +159,11 @@ def load_image_corpus(manifest_path) -> tuple[list[ImageBuffer], np.ndarray, Ima
 
     manifest_path = Path(manifest_path)
     meta = json.loads(manifest_path.read_text())
-    spec = ImageCorpusSpec(**meta["spec"])
+    if not isinstance(meta, dict) or "spec" not in meta or not isinstance(meta.get("images"), list):
+        raise BadSpec(f"{manifest_path} must be a JSON object with a spec and an images list")
+    spec = build_spec(ImageCorpusSpec, meta["spec"])
+    if not all(isinstance(e, dict) and "file" in e and "label" in e for e in meta["images"]):
+        raise BadSpec(f"every image entry in {manifest_path} needs a file and a label")
     images = [read_pnm(manifest_path.parent / e["file"]) for e in meta["images"]]
     labels = np.array([e["label"] for e in meta["images"]])
     return images, labels, spec

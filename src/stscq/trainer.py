@@ -9,14 +9,16 @@ never touched.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codebook import CodebookPool, index_histograms, init_kmeanspp, utilization
+from .codebook import CodebookPool, init_kmeanspp
 from .errors import DivergenceDetected, HeaderMismatch, StageOrderError, TooFewSamples
 from .latent import PcaTransform, encode, image_patches
+from .metrics import corpus_utilization
 from .quantizer import codes_at, quantize_corpus, search
 from .router import RouterParams, init_router, router_loss_and_grads, router_probs
 
@@ -49,6 +51,9 @@ class TrainConfig:
         for name in ("steps_stage1", "steps_stage2", "router_warmup"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("lam1", "lam2", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
@@ -245,7 +250,7 @@ def routing_counts(data: np.ndarray, router: RouterParams, M: int) -> list[int]:
 
 
 def _utilization_summary(data: np.ndarray, pool: CodebookPool) -> dict[str, float]:
-    stats = utilization(index_histograms(quantize_corpus(data, pool)[1], pool.K), pool.K)
+    stats = corpus_utilization(data, pool)
     return {"min": stats.min, "max": stats.max, "mean": stats.mean, "std": stats.std}
 
 

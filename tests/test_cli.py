@@ -481,3 +481,113 @@ def test_synth_matches_the_library_corpus(tmp_path):
     assert names == sorted(p.name for p in (tmp_path / "cli").iterdir()) and len(names) == 6
     for name in names:
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
+
+
+def count_calls(monkeypatch):
+    """Counts quantize_corpus calls and PCA encodes through every module that binds them."""
+    from stscq import cli, latent, metrics, quantizer, trainer
+
+    calls = {"quantize_corpus": 0, "encode": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    search, encode = counting("quantize_corpus", quantizer.quantize_corpus), counting("encode", latent.encode)
+    for module in (quantizer, metrics, trainer):
+        monkeypatch.setattr(module, "quantize_corpus", search)
+    for module, name in ((latent, "encode"), (metrics, "encode"), (trainer, "encode"), (cli, "pca_encode")):
+        monkeypatch.setattr(module, name, encode)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["manifest", "npz"])
+def test_eval_searches_the_corpus_once(tmp_path, token_corpus, image_corpus, monkeypatch, kind):
+    # eval used to search the corpus once for its RD point and again for its
+    # routing histogram, and to PCA-encode every image twice
+    from stscq.codebook import CodebookPool, save_pool
+    from stscq.latent import fit_pca, save_pca
+    from stscq.synth import load_image_corpus
+
+    if kind == "npz":
+        data, T, n_images, flags = token_corpus, 4, 0, []
+    else:
+        images, _, spec = load_image_corpus(image_corpus)
+        save_pca(fit_pca(images, spec.patch_size, 4), tmp_path / "p.pca")
+        data, T, n_images, flags = image_corpus, 16, len(images), ["--pca", tmp_path / "p.pca"]
+    pool = CodebookPool(np.random.default_rng(0).standard_normal((2, T, 4, 4)), frozen=True)
+    save_pool(pool, tmp_path / "p.pool")
+    calls = count_calls(monkeypatch)
+    assert run("eval", "--data", data, "--pool", tmp_path / "p.pool", "--out", tmp_path / "rd.csv", *flags) == 0
+    assert calls == {"quantize_corpus": 1, "encode": n_images}
+    hist = json.loads((tmp_path / "rd.csv.hist.json").read_text())
+    assert sum(sum(h["counts"]) for h in hist.values()) == (n_images or 128)
+
+
+MANIFEST_FAULTS = {
+    "no-spec": lambda meta: {"images": meta["images"]},
+    "unknown-spec-key": lambda meta: {**meta, "spec": {**meta["spec"], "bogus": 1}},
+    "mistyped-spec-key": lambda meta: {**meta, "spec": {**meta["spec"], "patch_size": "4"}},
+    "not-an-object": lambda meta: meta["images"],
+    "entry-without-file": lambda meta: {**meta, "images": [{"label": 0}] + meta["images"][1:]},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+def test_malformed_manifest_is_config_error(tmp_path, image_corpus, capsys, fault):
+    # each of these used to end in a KeyError or TypeError traceback
+    bad = tmp_path / "manifest.json"
+    bad.write_text(json.dumps(MANIFEST_FAULTS[fault](json.loads(image_corpus.read_text()))))
+    rc = run("train", "--data", bad, "--out-dir", tmp_path / "o", T_FLAG, 16, "--d", 4)
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_token_corpus_without_spec_is_config_error(tmp_path, token_corpus, capsys):
+    with np.load(token_corpus) as z:
+        np.savez(tmp_path / "c.npz", **{name: z[name] for name in z.files if name != "spec"})
+    rc = run("train", "--data", tmp_path / "c.npz", "--out-dir", tmp_path / "o")
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name", ["lam1", "lam2", "learning_rate"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_training_weight_is_config_error(tmp_path, token_corpus, capsys, source, name, value):
+    # these used to train until the loss was NaN and exit 4; Python's JSON
+    # reader takes NaN and Infinity
+    if source == "flag":
+        given = ["--" + name.replace("_", "-"), value]
+    else:
+        (tmp_path / "cfg.json").write_text(f'{{"{name}": {"NaN" if value == "nan" else "Infinity"}}}')
+        given = ["--config", tmp_path / "cfg.json"]
+    rc = run("train", "--data", token_corpus, "--out-dir", tmp_path / "o", "--stage", "1",
+             M_FLAG, 2, K_FLAG, 4, T_FLAG, 4, "--d", 4, *given)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--kind", "tokens", "--sigma", "nan"], ["--kind", "tokens", "--separation", "inf"],
+                                  ["--kind", "images", "--sigma", "nan"]], ids=["tokens-sigma", "separation", "images-sigma"])
+def test_non_finite_synth_spread_is_config_error(tmp_path, capsys, argv):
+    # a NaN sigma used to write an all-NaN corpus and exit 0
+    rc = run("synth", *argv, "--out", tmp_path / "c")
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_encode_tokens_from_an_npz_is_data_error(tmp_path, trained, token_corpus, capsys):
+    # np.load gives an NpzFile here, whose .values method used to reach float()
+    rc = run("encode", "--tokens", token_corpus, "--width", 8, "--height", 8,
+             "--pool", trained / "pool_stage2.pool", "--out", tmp_path / "t.stscq")
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "t.stscq").exists()

@@ -4,18 +4,11 @@ a loop of per-image `quantize_routed` gives. Each reference below is that loop."
 import numpy as np
 import pytest
 
-from stscq import quantizer
+from stscq import metrics, quantizer
 from stscq.codebook import CodebookPool, TokenSpecificGroup, utilization
 from stscq.errors import RangeViolation, ShapeMismatch
 from stscq.latent import ImageBuffer, decode, encode, fit_pca, image_patches
-from stscq.metrics import (
-    RdPoint,
-    assignment_histograms_group,
-    eval_rd,
-    eval_rd_tokens,
-    psnr_from_mse,
-    routing_histogram,
-)
+from stscq.metrics import RdPoint, corpus_utilization, eval_rd, eval_rd_tokens, psnr_from_mse, routing_histogram
 from stscq.quantizer import dequantize, quantize_corpus, quantize_group, quantize_routed
 from stscq.router import init_router
 from stscq.trainer import TrainConfig, _utilization_summary, mean_latent_mse, stage3
@@ -56,11 +49,14 @@ def test_quantize_corpus_matches_quantize_routed(chunk_bytes):
 def test_eval_rd_tokens_matches_per_image_loop(chunk_bytes, policy):
     pool, _, _, tokens, router = setup(2)
     total_sq = 0.0
-    for t, q in zip(tokens, reference_quantize(tokens, pool, policy, router)):
+    reference = reference_quantize(tokens, pool, policy, router)
+    for t, q in zip(tokens, reference):
         total_sq += float(((t - dequantize(q, pool)) ** 2).sum())
     want = RdPoint(M=M, K=K, T=T, policy=policy, seed=0, bpp=eval_rd_tokens(tokens, pool).bpp,
                    latent_mse=total_sq / tokens.size)
-    assert eval_rd_tokens(tokens, pool, policy=policy, router=router) == want
+    got = eval_rd_tokens(tokens, pool, policy=policy, router=router)
+    assert got == want
+    assert list(got.groups) == [q.group_index for q in reference]
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -68,9 +64,12 @@ def test_eval_rd_matches_per_image_loop(chunk_bytes, policy):
     pool, images, pca, _, router = setup(3)
     latent_sq = pixel_sq = 0.0
     latent_n = pixel_n = 0
+    groups = []
     for img in images:
         tokens = encode(img, pca)
-        z_q = dequantize(quantize_routed(tokens.values, pool, policy=policy, router=router), pool)
+        q = quantize_routed(tokens.values, pool, policy=policy, router=router)
+        groups.append(q.group_index)
+        z_q = dequantize(q, pool)
         latent_sq += float(((tokens.values - z_q) ** 2).sum())
         latent_n += tokens.values.size
         recon = decode(z_q, pca, img.width, img.height)
@@ -79,6 +78,7 @@ def test_eval_rd_matches_per_image_loop(chunk_bytes, policy):
     got = eval_rd(images, pca, pool, policy=policy, router=router)
     assert (got.latent_mse, got.pixel_mse, got.psnr) == (
         latent_sq / latent_n, pixel_sq / pixel_n, psnr_from_mse(pixel_sq / pixel_n))
+    assert list(got.groups) == groups
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -88,7 +88,7 @@ def test_routing_histogram_matches_per_image_loop(chunk_bytes, policy):
     want = {lab: [0] * M for lab in "abc"}
     for q, lab in zip(reference_quantize(tokens, pool, policy, router), labels):
         want[lab][q.group_index] += 1
-    got = routing_histogram(list(tokens), pool, policy=policy, router=router, labels=labels)
+    got = routing_histogram(eval_rd_tokens(list(tokens), pool, policy=policy, router=router).groups, M, labels)
     assert {lab: h.counts for lab, h in got.items()} == want
 
 
@@ -120,13 +120,18 @@ def test_mean_latent_mse_matches_per_image_loop(chunk_bytes, policy):
     assert mean_latent_mse(tokens, pool, router=router, policy=policy) == np.mean(per_image) / (T * d)
 
 
-def test_assignment_histograms_match_per_image_loop(chunk_bytes):
+def test_assignment_histograms_match_per_image_loop(chunk_bytes, monkeypatch):
     pool, _, _, tokens, _ = setup(8)
     group = TokenSpecificGroup(pool.codes[1], T)
     want = np.zeros((T, K), dtype=np.int64)
     for t in tokens:
         want[np.arange(T), quantize_group(t, group)[0]] += 1
-    assert np.array_equal(assignment_histograms_group(tokens, group), want)
+    # catch the (T, K) histogram that corpus_utilization hands to utilization
+    seen = []
+    monkeypatch.setattr(metrics, "utilization", lambda hist, K: seen.append(hist) or utilization(hist, K))
+    stats = corpus_utilization(tokens, CodebookPool(group.codes[None], T=T))
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+    assert np.array_equal(stats.per_token_rates, utilization(want, K).per_token_rates)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -145,7 +150,7 @@ def test_corpus_shape_checked():
     with pytest.raises(ShapeMismatch):
         eval_rd_tokens(tokens[:, :3], pool)
     with pytest.raises(ShapeMismatch):
-        routing_histogram([tokens[0], tokens[1][:, :1]], pool)
+        eval_rd_tokens([tokens[0], tokens[1][:, :1]], pool)
     images[3] = ImageBuffer.from_array(np.zeros((8, 12)))
     with pytest.raises(ShapeMismatch):
         eval_rd(images, pca, pool)

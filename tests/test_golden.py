@@ -2,7 +2,10 @@
 
 Pins the SHA-256 of every byte the pipeline emits for two fixed-seed
 configurations: a small image corpus run through stages 1-3, and the
-acceptance configuration (seed 0) with short step counts. A refactor that
+acceptance configuration (seed 0) with short step counts. Each then runs
+`stscq eval` over its corpus and pins the CSV and the routing histograms:
+the images with the NN policy and the stage-3 PCA, the tokens with the CR
+policy and the stage-2 router. A refactor that
 claims identical behaviour must leave these digests unchanged; a change that
 moves them on purpose re-pins them and says why in CHANGES.md.
 
@@ -13,19 +16,29 @@ bits of the router matmuls. Print the current digests with
 """
 
 import hashlib
+import io
 import json
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 
 from stscq.bitstream import StreamHeader, serialize
+from stscq.cli import main
 from stscq.codebook import save_pool
 from stscq.latent import encode, fit_pca, save_pca
 from stscq.quantizer import quantize_routed
 from stscq.router import save_router
-from stscq.synth import ImageCorpusSpec, MixtureSpec, make_image_corpus, make_token_corpus
+from stscq.synth import (
+    ImageCorpusSpec,
+    MixtureSpec,
+    make_image_corpus,
+    make_token_corpus,
+    save_image_corpus,
+    save_token_corpus,
+)
 from stscq.trainer import TrainConfig, TrainReport, stage1, stage2, stage3
 
 GOLDEN = {
@@ -41,6 +54,8 @@ GOLDEN = {
         "histogram": "d0a14371b81bac86548b4c128eb17b89590f69633592d506c7db83bb63918764",
         "utilization": "33724600670d5f9cb71d40e1dda4512cbec0567efc1f9e7c39967f71cec341b1",
         "stream": "c420f644594435452b97351e89d902b7dfe898a2e8c4865a657b89d36c0ed4d3",
+        "eval_csv": "8235926df42d13572c5dfeaad6f6be0e9b055fec66f2a21fa0e18d4e073c056d",
+        "eval_hist": "34c1f019cbea56dcf1303da14371fcb07a3c1e30ced9fdf90b93ba1cbff7d3b8",
     },
     "acceptance": {
         "pool1": "aa1cd7779437ed9221ae1001ef6d889776df692342850e0c9feea69a6059d471",
@@ -52,6 +67,8 @@ GOLDEN = {
         "histogram": "77205dcc7388b97012781d7de9e2f0eaad525dda1edf7557d5b83362b4c0c6d6",
         "utilization": "d18bdbaaa511fd8d46d76381b2e7338752fc96249a1367e2e8357f14bcc2ebdf",
         "stream": "bb537766d9504ea91bb36ff9524baf3f23e1909ac34f3d1d33c22fd44ba5b3f3",
+        "eval_csv": "18a27970759a4c090473fc2843024911c327f46e22d03c4d4a23abdc90864902",
+        "eval_hist": "d23ad8610ab7fe4fc00ba712b147399a9b567acad2776a4dfe4ddc779b3c2d7a",
     },
 }
 
@@ -86,22 +103,35 @@ def train_digests(tokens, cfg, workdir: Path, images=None, pca=None) -> dict[str
     return {name: sha(data) for name, data in files.items()}
 
 
+def eval_digests(workdir: Path, data: Path, *flags) -> dict[str, str]:
+    """Digests of the rd.csv and rd.csv.hist.json that `stscq eval` writes."""
+    out = workdir / "rd.csv"
+    with redirect_stdout(io.StringIO()):
+        rc = main(["eval", "--data", str(data), "--pool", str(workdir / "pool2"), "--out", str(out), *flags])
+    assert rc == 0
+    return {"eval_csv": sha(out.read_bytes()), "eval_hist": sha(Path(f"{out}.hist.json").read_bytes())}
+
+
 def small_digests(workdir: Path) -> dict[str, str]:
     spec = ImageCorpusSpec(clusters=2, width=16, height=16, patch_size=4, samples=24, seed=0)
-    images, _ = make_image_corpus(spec)
+    images, labels = make_image_corpus(spec)
     pca = fit_pca(images, spec.patch_size, d=4, seed=0)
     tokens = np.stack([encode(img, pca).values for img in images])
     cfg = TrainConfig(M=2, K=4, T=16, d=4, seed=0, learning_rate=0.05, batch_size=16,
                       steps_stage1=150, steps_stage2=200, lam1=1.0, router_warmup=50)
-    return train_digests(tokens, cfg, workdir, images, pca)
+    digests = train_digests(tokens, cfg, workdir, images, pca)
+    manifest = save_image_corpus(workdir / "imgs", images, labels, spec)
+    return digests | eval_digests(workdir, manifest, "--pca", str(workdir / "pca3"))
 
 
 def acceptance_digests(workdir: Path) -> dict[str, str]:
     spec = MixtureSpec(clusters=8, T=16, d=8, samples=1024, separation=5.0, sigma=0.5, seed=0)
-    tokens, _, _ = make_token_corpus(spec)
+    tokens, labels, means = make_token_corpus(spec)
     cfg = TrainConfig(M=8, K=16, T=16, d=8, seed=0, steps_stage1=150, steps_stage2=100,
                       learning_rate=0.05, batch_size=32, lam1=1.0)
-    return train_digests(tokens[:512], cfg, workdir)
+    digests = train_digests(tokens[:512], cfg, workdir)
+    save_token_corpus(workdir / "tokens.npz", tokens[:512], labels[:512], means, spec)
+    return digests | eval_digests(workdir, workdir / "tokens.npz", "--policy", "cr", "--router", str(workdir / "router2"))
 
 
 CONFIGS = {"small": small_digests, "acceptance": acceptance_digests}

@@ -94,11 +94,12 @@ def test_routing_histogram_sums():
     pool = make_pool(rng, M=3, T=4, K=5, d=2)
     corpus = rng.standard_normal((20, 4, 2))
     labels = ["a", "b"] * 10
-    hists = routing_histogram(corpus, pool, labels=labels)
+    groups = eval_rd_tokens(corpus, pool).groups
+    hists = routing_histogram(groups, pool.M, labels=labels)
     assert set(hists) == {"a", "b"}
     assert sum(hists["a"].counts) == 10
     assert sum(hists["b"].counts) == 10
-    unlabeled = routing_histogram(corpus, pool)
+    unlabeled = routing_histogram(groups, pool.M)
     assert sum(unlabeled["all"].counts) == 20
     merged = [x + y for x, y in zip(hists["a"].counts, hists["b"].counts)]
     assert merged == unlabeled["all"].counts
@@ -106,10 +107,8 @@ def test_routing_histogram_sums():
 
 @pytest.mark.parametrize("n_labels", [10, 21])
 def test_routing_histogram_rejects_labels_not_one_per_matrix(n_labels):
-    rng = np.random.default_rng(4)
-    pool = make_pool(rng, M=3, T=4, K=5, d=2)
     with pytest.raises(LengthMismatch):
-        routing_histogram(rng.standard_normal((20, 4, 2)), pool, labels=["a"] * n_labels)
+        routing_histogram(np.zeros(20, dtype=int), 3, labels=["a"] * n_labels)
 
 
 def test_compare_utilization_trivial():
@@ -138,10 +137,26 @@ def test_write_rd_csv_round_trip(tmp_path):
 
 
 def test_write_histogram_json(tmp_path):
-    rng = np.random.default_rng(6)
-    pool = make_pool(rng, M=2, T=3, K=2, d=2)
-    hists = routing_histogram(rng.standard_normal((8, 3, 2)), pool)
+    hists = routing_histogram([0, 1, 1, 0, 0, 1, 0, 0], 2)
     path = tmp_path / "h.json"
     write_histogram_json(hists, path)
     data = json.loads(path.read_text())
     assert sum(data["all"]["counts"]) == 8
+
+
+def test_routing_histogram_matches_the_label_loop():
+    rng = np.random.default_rng(7)
+    groups = rng.integers(0, 4, size=40)
+    labels = rng.integers(0, 12, size=40)  # "10" and "11" sort before "2"
+    want = {}
+    for lab in sorted({str(l) for l in labels}):
+        counts = [0] * 4
+        for g, l in zip(groups, labels):
+            if str(l) == lab:
+                counts[g] += 1
+        want[lab] = counts
+    got = routing_histogram(groups, 4, labels)
+    assert list(got) == list(want)
+    assert {lab: h.counts for lab, h in got.items()} == want
+    assert all(h.attribute_label == lab for lab, h in got.items())
+    assert routing_histogram([], 4) == {}

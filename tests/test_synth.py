@@ -95,3 +95,10 @@ def test_image_corpus_bad_spec():
         make_image_corpus(ImageCorpusSpec(width=30, patch_size=8))
     with pytest.raises(BadSpec):
         make_image_corpus(ImageCorpusSpec(channels=2))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_spread_is_bad_spec(value):
+    for spec in (MixtureSpec(sigma=value), MixtureSpec(separation=value), ImageCorpusSpec(sigma=value)):
+        with pytest.raises(BadSpec):
+            spec.validate()

@@ -169,6 +169,13 @@ def test_config_rejects_out_of_range_counts(mixture, name, value):
         stage1(mixture[0], cfg)
 
 
+@pytest.mark.parametrize("name", ["lam1", "lam2", "learning_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_weights(name, value):
+    with pytest.raises(ValueError, match=name):
+        small_cfg(**{name: value}).validate()
+
+
 @pytest.mark.parametrize("T", [1, 4])
 def test_frozen_survives_save_load(mixture, tmp_path, T):
     # at T = 1 a stage-2 pool is token-shared too, so the file must carry frozen itself
