@@ -132,7 +132,10 @@ def cmd_encode(args) -> int:
         tokens = pca_encode(img, pca).values
         width, height, channels = img.width, img.height, img.channels
     else:
-        tokens = np.load(args.tokens)
+        try:
+            tokens = np.load(args.tokens)
+        except ValueError as e:  # not a .npy array numpy can read without pickle
+            raise StscqError(f"{args.tokens} is not a readable .npy token array: {e}") from e
         if not isinstance(tokens, np.ndarray):
             raise ShapeMismatch(f"{args.tokens} holds no single (T, d) token array; save one with numpy.save")
         width, height, channels = args.width, args.height, pca.channels if pca else 1

@@ -13,11 +13,12 @@ import numpy as np
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup
 from .errors import DimensionMismatch, HeaderMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch, UntrainedRouter
 
-# cap on search()'s difference temporary, and on quantize_corpus()'s (B, M, T)
+# cap on each of search()'s temporaries, and on quantize_corpus()'s (B, M, T)
 # search results: an unsliced difference is 256 MiB per image at
 # M16/T256/K1024/d8, and re-faulting its pages on every call cost more time
 # than taking tokens in slices
 _CHUNK_BYTES = 1 << 22
+_EPS = np.finfo(np.float64).eps
 
 
 @dataclass
@@ -67,33 +68,112 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Nearest code per (image, group, token): (B, M, T) indices and squared errors.
 
     batch is (B, T, d); codes is (M, T', K, d), where T' = 1 is one codebook
-    per group shared by every token. Ties go to the lowest index. Images, and
-    tokens when one image is too large, are taken in slices so the difference
-    temporary and the tokens repeated K times stay within _CHUNK_BYTES.
+    per group shared by every token. Ties go to the lowest index, and every
+    index and error is the one the difference form Σ(z − c)² gives.
+
+    One image is searched by the difference form alone. For more, each slice
+    of tokens computes ‖c‖² once and screens every image of the batch with one
+    matmul per (group, token): s = ‖c‖² − 2z·c, which is ‖z − c‖² − ‖z‖².
+    Codes with s within a rounding margin of the row's minimum are the
+    candidates. A row with one candidate takes it, with its error from the
+    difference form; a row with several (a tie or a near-tie) or none (a
+    non-finite value) is searched again by the difference form over all K.
+    So the matmul's bits, which vary with the BLAS kernel, only choose
+    candidates and never reach an index or an error. Every temporary stays
+    within _CHUNK_BYTES.
     """
     B, T, d = batch.shape
-    M, _, K, _ = codes.shape
-    codes = np.broadcast_to(codes, (M, T, K, d))
+    if B == 1:
+        # the screen's pass over the codes would cost one image more than the
+        # difference form does (123 against 102 ms at M16/T256/K1024 on 2 CPUs)
+        indices, errors = _difference_search(batch[0], codes)
+        return indices[None], errors[None]
+    M, Tc, K, _ = codes.shape
     indices = np.empty((B, M, T), dtype=np.intp)
     errors = np.empty((B, M, T))
-    token_bytes = 8 * (M + 1) * K * d
-    nt = min(T, max(1, _CHUNK_BYTES // token_bytes))
-    nb = max(1, _CHUNK_BYTES // (token_bytes * nt))
-    for b in range(0, B, nb):
-        for t in range(0, T, nt):
-            # with each token repeated K times, the subtraction runs over
-            # contiguous (K, d) rows instead of d values at a time
-            z = np.repeat(batch[b : b + nb, t : t + nt, None, :], K, axis=2)
-            # a mapped pool's codes sit 5 bytes off 8-byte alignment, where numpy
-            # subtracts in a slower loop; copy them into the aligned difference
-            # buffer and subtract in place (the same bits as z - codes)
-            diff = np.empty((len(z), M) + z.shape[1:])
-            diff[:] = codes[None, :, t : t + nt]
-            np.subtract(z[:, None], diff, out=diff)
-            dists = np.einsum("bmtkd,bmtkd->bmtk", diff, diff)
-            idx = dists.argmin(axis=3)  # argmin returns the first minimum: lowest index
-            indices[b : b + nb, :, t : t + nt] = idx
-            errors[b : b + nb, :, t : t + nt] = np.take_along_axis(dists, idx[..., None], axis=3)[..., 0]
+    tally = np.stack([np.ones(K), np.arange(K)])  # counts a row's candidates and sums their indices
+    # the largest temporaries: the codes of a slice of tokens, and the screen
+    # values (or the chosen codes' differences) of a slice of (image, token) pairs
+    nt = max(1, min(T, _CHUNK_BYTES // (8 * M * K * d)))
+    nb = max(1, _CHUNK_BYTES // (8 * M * max(K, d) * nt))
+    step = max(1, _CHUNK_BYTES // (8 * K * d))  # rows searched again at a time
+    # reduce over K along whichever of K and the images is longer, laid out
+    # innermost: the images at K=16, the codes at K=1024
+    k_inner = K >= min(B, nb)
+    axis = 3 if k_inner else 2
+    for t in range(0, T, nt):
+        # an aligned, contiguous copy when the slice is not one already (a
+        # mapped pool's codes sit 5 bytes off alignment), so that matmul and
+        # take read it in place
+        c = np.require(codes[:, t : t + nt] if Tc > 1 else codes, requirements="CA")
+        norms = np.einsum("mtkd,mtkd->mtk", c, c)
+        reach = np.sqrt(norms.max(axis=2))[..., None]  # (M, nt', 1): max ‖c‖
+        tc = np.arange(min(nt, T - t)) % c.shape[1]
+        row0 = (np.arange(M)[:, None] * c.shape[1] + tc) * K  # (M, nt): each (group, token)'s first code
+        for b in range(0, B, nb):
+            z = np.ascontiguousarray(batch[b : b + nb, t : t + nt].transpose(1, 0, 2))  # (nt, nb, d)
+            if k_inner:
+                s = (-2 * z) @ c.swapaxes(2, 3)  # (M, nt, nb, K)
+                s += norms[:, :, None]
+            else:
+                s = c @ (-2 * z.transpose(0, 2, 1))  # (M, nt, K, nb)
+                s += norms[..., None]
+            # The screen's error bound. With u = ε/2 and γ_n = nu/(1 − nu), a dot
+            # product of n terms in any order, with or without FMA, is off by at
+            # most γ_n Σ|x_i y_i|. s adds the computed ‖c‖² to −2z·c, so
+            # |s − s*| ≤ 2γ_{d+1} R² with R = ‖z‖ + max‖c‖. The difference form's
+            # distance D is off by at most γ_{d+2}‖z − c‖² ≤ γ_{d+2} R². If k* is
+            # the difference form's argmin and j the screen's, D_k* ≤ D_j gives
+            # s_k* ≤ s_j + 2(2γ_{d+1} + γ_{d+2}) R² ≤ best + 6γ_{d+2} R². The
+            # margin 8(d + 2)ε R² is more than twice that, so k* is always a
+            # candidate, and a row with one candidate has found k*.
+            margin = 8 * (d + 2) * _EPS * (reach + np.sqrt(np.einsum("tbd,tbd->tb", z, z))) ** 2
+            bound = s.min(axis=axis, keepdims=True) + np.expand_dims(margin, axis)
+            candidates = np.less_equal(s, bound, out=s, casting="unsafe")  # 1.0 or 0.0, in place
+            # sums of 0s, 1s and indices below K: exact in any order
+            tallied = candidates @ tally.T if k_inner else tally @ candidates
+            count, idx = np.moveaxis(tallied, axis, 0).astype(np.intp)  # (M, nt, nb) each
+            # a row with several candidates sums their indices, which may point past
+            # its own codes; clip keeps them inside c, and the row is searched again
+            diff = np.take(c.reshape(-1, d), row0[..., None] + idx, axis=0, mode="clip")
+            np.subtract(z, diff, out=diff)
+            err = np.einsum("mtbd,mtbd->mtb", diff, diff)
+            retry = np.nonzero(count != 1)
+            for r in range(0, len(retry[0]), step):
+                m, tt, bb = (rows[r : r + step] for rows in retry)
+                # the rows as the tokens of one image, each with its own codebook
+                i, e = _difference_search(z[tt, bb], c[m, tc[tt]][None])
+                idx[m, tt, bb], err[m, tt, bb] = i[0], e[0]
+            indices[b : b + nb, :, t : t + nt] = idx.transpose(2, 0, 1)
+            errors[b : b + nb, :, t : t + nt] = err.transpose(2, 0, 1)
+    return indices, errors
+
+
+def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest code to each of one image's (T, d) tokens in each group by the
+    difference form Σ(z − c)² over all K: (M, T) indices and squared errors.
+    Tokens are taken in slices so the difference temporary and the tokens
+    repeated K times stay within _CHUNK_BYTES."""
+    T, d = tokens.shape
+    M, _, K, _ = codes.shape
+    codes = np.broadcast_to(codes, (M, T, K, d))
+    indices = np.empty((M, T), dtype=np.intp)
+    errors = np.empty((M, T))
+    nt = max(1, _CHUNK_BYTES // (8 * (M + 1) * K * d))
+    for t in range(0, T, nt):
+        # with each token repeated K times, the subtraction runs over
+        # contiguous (K, d) rows instead of d values at a time
+        z = np.repeat(tokens[t : t + nt, None, :], K, axis=1)
+        # a mapped pool's codes sit 5 bytes off 8-byte alignment, where numpy
+        # subtracts in a slower loop; copy them into the aligned difference
+        # buffer and subtract in place (the same bits as z - codes)
+        diff = np.empty((M,) + z.shape)
+        diff[:] = codes[:, t : t + nt]
+        np.subtract(z, diff, out=diff)
+        dists = np.einsum("mtkd,mtkd->mtk", diff, diff)
+        idx = dists.argmin(axis=2)  # argmin returns the first minimum: lowest index
+        indices[:, t : t + nt] = idx
+        errors[:, t : t + nt] = np.take_along_axis(dists, idx[..., None], axis=2)[..., 0]
     return indices, errors
 
 

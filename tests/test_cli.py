@@ -141,6 +141,27 @@ def test_encode_non_finite_tokens_is_data_error(tmp_path, trained, capsys):
     assert not (tmp_path / "t.stscq").exists()
 
 
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda p: np.save(p, np.array([{"a": 1}, None], dtype=object), allow_pickle=True),
+        lambda p: p.write_bytes(np.random.default_rng(0).bytes(100)),
+        lambda p: p.write_bytes(b"\x93NUMPY\x01\x00"),
+    ],
+    ids=["object-array", "random-bytes", "truncated-header"],
+)
+def test_encode_unreadable_tokens_file_is_data_error(tmp_path, trained, capsys, write):
+    # np.load raises ValueError, which main used to report as a config error
+    tok_path = tmp_path / "t.npy"
+    write(tok_path)
+    rc = run("encode", "--tokens", tok_path, "--pool", trained / "pool_stage2.pool",
+             "--out", tmp_path / "t.stscq", "--width", 4, "--height", 4)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(tok_path) in err and "Traceback" not in err
+    assert not (tmp_path / "t.stscq").exists()
+
+
 def test_encode_oversized_width_is_data_error(tmp_path, trained, capsys):
     tok_path = tmp_path / "t.npy"
     np.save(tok_path, np.zeros((4, 4)))

@@ -133,9 +133,11 @@ def test_search_matches_per_token_oracle():
                 assert errors[b, m, t] == pytest.approx(od, abs=1e-12)
 
 
-# M=2, K=7, d=3 and T=9 give search() 504 bytes of temporaries per token and
-# 4536 per image: all 4 images at once, slices of 2 images, of 2 tokens of one
-# image, and of one token
+# M=2, K=7, d=3 and T=9 give the difference form (one image per call) 504
+# bytes of temporaries per token: all 9 tokens at once, 2 at a time and one at
+# a time. The screen (several images per call) takes 336 bytes of codes per
+# token and 112 of screen values per (image, token): of 33 images, all at once,
+# 9 at a time, 3 at a time in slices of 4 tokens, and one token of one image
 SLICING_CAPS = {"whole": 1 << 22, "image-slices": 9072, "token-slices": 1500, "one-token": 1}
 
 
@@ -193,6 +195,67 @@ def test_search_ties_go_to_the_lowest_index(monkeypatch, cap, shared):
         assert np.array_equal(got_i, want_i)
         assert np.array_equal(got_e, want_e)  # small dyadic values: every sum is exact
         assert not (got_i == 3).any()  # the later duplicate is never chosen
+
+
+def one_image_at_a_time(batch, codes):
+    """search() of each image alone, which is the difference form over all K."""
+    indices = np.empty((len(batch), codes.shape[0], batch.shape[1]), dtype=np.intp)
+    errors = np.empty(indices.shape)
+    for b in range(len(batch)):
+        (indices[b],), (errors[b],) = search(batch[b : b + 1], codes)
+    return indices, errors
+
+
+@pytest.mark.parametrize("B", [0, 2, 33])
+@pytest.mark.parametrize("shared", [False, True], ids=["T'=T", "T'=1"])
+@pytest.mark.parametrize("data", ["normal", "grid", "midpoints", "offset", "non-finite"])
+def test_screened_search_is_the_difference_form_bit_for_bit(monkeypatch, data, shared, B):
+    """Grids tie exactly, with a duplicate code after its first copy; midpoints
+    sit between grid codes; a common offset of 1e3 with 1e-6 spreads puts the
+    screen's rounding far above the gaps between codes; a NaN code is the
+    difference form's choice, and an infinite one never is."""
+    rng = np.random.default_rng(19)
+    M, T, K, d = 2, 9, 7, 3
+    shape = (M, 1 if shared else T, K, d)
+    if data in ("normal", "non-finite"):
+        codes, batch = rng.standard_normal(shape), rng.standard_normal((B, T, d))
+        if data == "non-finite":
+            codes[0, :, 2, 1], codes[1, :, 4, 0] = np.nan, np.inf
+    elif data == "offset":
+        codes, batch = 1e3 + 1e-6 * rng.standard_normal(shape), 1e3 + 1e-6 * rng.standard_normal((B, T, d))
+    else:
+        codes = rng.integers(-2, 3, size=shape).astype(float)
+        codes[:, :, 3] = codes[:, :, 1]
+        batch = rng.integers(-3, 4, size=(B, T, d)) + (0.5 if data == "midpoints" else 0.0)
+    want = one_image_at_a_time(batch, codes)
+    unaligned = np.frombuffer(bytes(5) + codes.tobytes(), offset=5).reshape(codes.shape)
+    for cap, c in itertools.product({**SLICING_CAPS, **TIE_CAPS}.values(), (codes, unaligned)):
+        monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
+        got = search(batch, c)
+        assert got[0].shape == got[1].shape == (B, M, T)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+
+
+def test_screen_leaves_few_rows_to_the_difference_form(monkeypatch):
+    rescored = []
+    difference = quantizer._difference_search
+
+    def counting(tokens, codes):
+        rescored.append(len(tokens))
+        return difference(tokens, codes)
+
+    monkeypatch.setattr(quantizer, "_difference_search", counting)
+    rng = np.random.default_rng(20)
+    B, M, T, K, d = 64, 4, 16, 32, 8
+    batch, codes = rng.standard_normal((B, T, d)), rng.standard_normal((M, T, K, d))
+    indices, _ = search(batch, codes)
+    assert sum(rescored) < 0.01 * B * M * T
+    # with every code duplicated, each row has two candidates and is rescored
+    rescored.clear()
+    doubled, _ = search(batch, np.concatenate([codes, codes], axis=2))
+    assert sum(rescored) == B * M * T
+    assert np.array_equal(doubled, indices)
 
 
 def broadcast_search(batch, codes):
