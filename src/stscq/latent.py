@@ -170,7 +170,10 @@ def encode(img: ImageBuffer, t: PcaTransform) -> TokenMatrix:
         raise ShapeMismatch(
             f"patch dim {patches.shape[1]} vs transform dim {t.patch_dim}"
         )
-    return TokenMatrix((patches - t.mean) @ t.basis.T)
+    # einsum sums each token's p products in one fixed order, so the tokens are
+    # the same bits under every BLAS kernel; a BLAS matmul here would also keep
+    # OpenBLAS's helper thread spinning, holding a CPU through the search
+    return TokenMatrix(np.einsum("tp,dp->td", patches - t.mean, t.basis))
 
 
 def decode(tokens, t: PcaTransform, width: int, height: int) -> ImageBuffer:

@@ -6,6 +6,9 @@ index so that encoded streams are deterministic.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +22,29 @@ from .errors import DimensionMismatch, HeaderMismatch, IndexOutOfRange, RangeVio
 # than taking tokens in slices
 _CHUNK_BYTES = 1 << 22
 _EPS = np.finfo(np.float64).eps
+# threads that search one image's token slices: every CPU this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The search threads, started on the first call that has work for them."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="stscq-search")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads; it starts its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass
@@ -85,7 +111,8 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     B, T, d = batch.shape
     if B == 1:
         # the screen's pass over the codes would cost one image more than the
-        # difference form does (123 against 102 ms at M16/T256/K1024 on 2 CPUs)
+        # threaded difference form does (113–136 against 50–106 ms at
+        # M16/T256/K1024 on 2 CPUs)
         indices, errors = _difference_search(batch[0], codes)
         return indices[None], errors[None]
     M, Tc, K, _ = codes.shape
@@ -112,24 +139,27 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
         row0 = (np.arange(M)[:, None] * c.shape[1] + tc) * K  # (M, nt): each (group, token)'s first code
         for b in range(0, B, nb):
             z = np.ascontiguousarray(batch[b : b + nb, t : t + nt].transpose(1, 0, 2))  # (nt, nb, d)
-            if k_inner:
-                s = (-2 * z) @ c.swapaxes(2, 3)  # (M, nt, nb, K)
-                s += norms[:, :, None]
-            else:
-                s = c @ (-2 * z.transpose(0, 2, 1))  # (M, nt, K, nb)
-                s += norms[..., None]
-            # The screen's error bound. With u = ε/2 and γ_n = nu/(1 − nu), a dot
-            # product of n terms in any order, with or without FMA, is off by at
-            # most γ_n Σ|x_i y_i|. s adds the computed ‖c‖² to −2z·c, so
-            # |s − s*| ≤ 2γ_{d+1} R² with R = ‖z‖ + max‖c‖. The difference form's
-            # distance D is off by at most γ_{d+2}‖z − c‖² ≤ γ_{d+2} R². If k* is
-            # the difference form's argmin and j the screen's, D_k* ≤ D_j gives
-            # s_k* ≤ s_j + 2(2γ_{d+1} + γ_{d+2}) R² ≤ best + 6γ_{d+2} R². The
-            # margin 8(d + 2)ε R² is more than twice that, so k* is always a
-            # candidate, and a row with one candidate has found k*.
-            margin = 8 * (d + 2) * _EPS * (reach + np.sqrt(np.einsum("tbd,tbd->tb", z, z))) ** 2
-            bound = s.min(axis=axis, keepdims=True) + np.expand_dims(margin, axis)
-            candidates = np.less_equal(s, bound, out=s, casting="unsafe")  # 1.0 or 0.0, in place
+            # a non-finite code makes inf − inf here; NaN compares false, so
+            # its row has no candidate and the difference form searches it again
+            with np.errstate(invalid="ignore"):
+                if k_inner:
+                    s = (-2 * z) @ c.swapaxes(2, 3)  # (M, nt, nb, K)
+                    s += norms[:, :, None]
+                else:
+                    s = c @ (-2 * z.transpose(0, 2, 1))  # (M, nt, K, nb)
+                    s += norms[..., None]
+                # The screen's error bound. With u = ε/2 and γ_n = nu/(1 − nu), a dot
+                # product of n terms in any order, with or without FMA, is off by at
+                # most γ_n Σ|x_i y_i|. s adds the computed ‖c‖² to −2z·c, so
+                # |s − s*| ≤ 2γ_{d+1} R² with R = ‖z‖ + max‖c‖. The difference form's
+                # distance D is off by at most γ_{d+2}‖z − c‖² ≤ γ_{d+2} R². If k* is
+                # the difference form's argmin and j the screen's, D_k* ≤ D_j gives
+                # s_k* ≤ s_j + 2(2γ_{d+1} + γ_{d+2}) R² ≤ best + 6γ_{d+2} R². The
+                # margin 8(d + 2)ε R² is more than twice that, so k* is always a
+                # candidate, and a row with one candidate has found k*.
+                margin = 8 * (d + 2) * _EPS * (reach + np.sqrt(np.einsum("tbd,tbd->tb", z, z))) ** 2
+                bound = s.min(axis=axis, keepdims=True) + np.expand_dims(margin, axis)
+                candidates = np.less_equal(s, bound, out=s, casting="unsafe")  # 1.0 or 0.0, in place
             # sums of 0s, 1s and indices below K: exact in any order
             tallied = candidates @ tally.T if k_inner else tally @ candidates
             count, idx = np.moveaxis(tallied, axis, 0).astype(np.intp)  # (M, nt, nb) each
@@ -152,28 +182,47 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest code to each of one image's (T, d) tokens in each group by the
     difference form Σ(z − c)² over all K: (M, T) indices and squared errors.
+
     Tokens are taken in slices so the difference temporary and the tokens
-    repeated K times stay within _CHUNK_BYTES."""
+    repeated K times stay within _CHUNK_BYTES across all of _WORKERS. A call
+    with two or more slices splits them over the worker threads, one
+    contiguous range of tokens each (numpy's loops release the GIL); each
+    slice writes its own columns of the results with the same arithmetic, so
+    the bits do not depend on the split.
+    """
     T, d = tokens.shape
     M, _, K, _ = codes.shape
     codes = np.broadcast_to(codes, (M, T, K, d))
     indices = np.empty((M, T), dtype=np.intp)
     errors = np.empty((M, T))
-    nt = max(1, _CHUNK_BYTES // (8 * (M + 1) * K * d))
-    for t in range(0, T, nt):
-        # with each token repeated K times, the subtraction runs over
-        # contiguous (K, d) rows instead of d values at a time
-        z = np.repeat(tokens[t : t + nt, None, :], K, axis=1)
-        # a mapped pool's codes sit 5 bytes off 8-byte alignment, where numpy
-        # subtracts in a slower loop; copy them into the aligned difference
-        # buffer and subtract in place (the same bits as z - codes)
-        diff = np.empty((M,) + z.shape)
-        diff[:] = codes[:, t : t + nt]
-        np.subtract(z, diff, out=diff)
-        dists = np.einsum("mtkd,mtkd->mtk", diff, diff)
-        idx = dists.argmin(axis=2)  # argmin returns the first minimum: lowest index
-        indices[:, t : t + nt] = idx
-        errors[:, t : t + nt] = np.take_along_axis(dists, idx[..., None], axis=2)[..., 0]
+    nt = max(1, _CHUNK_BYTES // (8 * (M + 1) * K * d * _WORKERS))
+
+    def search_tokens(lo: int, hi: int) -> None:
+        for t in range(lo, hi, nt):
+            s = slice(t, min(t + nt, hi))
+            # with each token repeated K times, the subtraction runs over
+            # contiguous (K, d) rows instead of d values at a time
+            z = np.repeat(tokens[s, None, :], K, axis=1)
+            # a mapped pool's codes sit 5 bytes off 8-byte alignment, where numpy
+            # subtracts in a slower loop; copy them into the aligned difference
+            # buffer and subtract in place (the same bits as z - codes)
+            diff = np.empty((M,) + z.shape)
+            diff[:] = codes[:, s]
+            np.subtract(z, diff, out=diff)
+            dists = np.einsum("mtkd,mtkd->mtk", diff, diff)
+            idx = dists.argmin(axis=2)  # argmin returns the first minimum: lowest index
+            indices[:, s] = idx
+            errors[:, s] = np.take_along_axis(dists, idx[..., None], axis=2)[..., 0]
+
+    slices = -(-T // nt)
+    workers = min(_WORKERS, slices)
+    if workers < 2:
+        search_tokens(0, T)
+    else:
+        # one contiguous range of whole slices per worker, as even as they go
+        ends = [nt * (slices * w // workers) for w in range(workers)] + [T]
+        for done in [_executor().submit(search_tokens, lo, hi) for lo, hi in zip(ends, ends[1:])]:
+            done.result()
     return indices, errors
 
 

@@ -1,6 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import stscq
 from stscq.errors import (
     BadMagic,
     DimensionTooLarge,
@@ -99,6 +106,34 @@ def test_encode_matches_independent_projection():
     for i, patch in enumerate(patches):
         coeffs, *_ = np.linalg.lstsq(t.basis.T, patch - t.mean, rcond=None)
         assert np.allclose(tokens.values[i], coeffs, atol=1e-8)
+
+
+# loads a .pca and an image and prints the SHA-256 of their tokens' bytes
+ENCODE_DIGEST = """
+import hashlib, sys
+from stscq.latent import encode, load_pca, read_pnm
+tokens = encode(read_pnm(sys.argv[1]), load_pca(sys.argv[2])).values
+print(hashlib.sha256(tokens.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Prescott", "SandyBridge"])
+def test_tokens_are_the_same_bits_under_another_blas_kernel(tmp_path, coretype):
+    """The projection sums each token's products in one order of its own,
+    not in the order of whichever BLAS kernel the CPU selects. At this shape
+    (256 patches of 256 values onto 8 directions) a BLAS matmul gave other
+    bits under OpenBLAS's Prescott and SandyBridge kernels."""
+    rng = np.random.default_rng(24)
+    basis = np.linalg.qr(rng.standard_normal((256, 8)))[0].T
+    save_pca(PcaTransform(16, 1, rng.uniform(0.2, 0.8, 256), basis), tmp_path / "t.pca")
+    write_pnm(ImageBuffer.from_array(rng.uniform(0, 1, (256, 256))), tmp_path / "img.pgm")
+    args = [str(tmp_path / "img.pgm"), str(tmp_path / "t.pca")]
+    tokens = encode(read_pnm(args[0]), load_pca(args[1])).values
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(stscq.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", ENCODE_DIGEST, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == hashlib.sha256(tokens.tobytes()).hexdigest()
 
 
 def test_decode_zero_tokens_is_tiled_mean():

@@ -1,4 +1,8 @@
 import itertools
+import os
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -134,8 +138,8 @@ def test_search_matches_per_token_oracle():
 
 
 # M=2, K=7, d=3 and T=9 give the difference form (one image per call) 504
-# bytes of temporaries per token: all 9 tokens at once, 2 at a time and one at
-# a time. The screen (several images per call) takes 336 bytes of codes per
+# bytes of temporaries per token: on one worker, all 9 tokens at once, 2 at a
+# time and one at a time (more workers share the cap, in smaller slices). The screen (several images per call) takes 336 bytes of codes per
 # token and 112 of screen values per (image, token): of 33 images, all at once,
 # 9 at a time, 3 at a time in slices of 4 tokens, and one token of one image
 SLICING_CAPS = {"whole": 1 << 22, "image-slices": 9072, "token-slices": 1500, "one-token": 1}
@@ -206,6 +210,7 @@ def one_image_at_a_time(batch, codes):
     return indices, errors
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("B", [0, 2, 33])
 @pytest.mark.parametrize("shared", [False, True], ids=["T'=T", "T'=1"])
 @pytest.mark.parametrize("data", ["normal", "grid", "midpoints", "offset", "non-finite"])
@@ -213,7 +218,8 @@ def test_screened_search_is_the_difference_form_bit_for_bit(monkeypatch, data, s
     """Grids tie exactly, with a duplicate code after its first copy; midpoints
     sit between grid codes; a common offset of 1e3 with 1e-6 spreads puts the
     screen's rounding far above the gaps between codes; a NaN code is the
-    difference form's choice, and an infinite one never is."""
+    difference form's choice, and an infinite one never is. The screen's
+    inf − inf on those codes must not warn."""
     rng = np.random.default_rng(19)
     M, T, K, d = 2, 9, 7, 3
     shape = (M, 1 if shared else T, K, d)
@@ -256,6 +262,81 @@ def test_screen_leaves_few_rows_to_the_difference_form(monkeypatch):
     doubled, _ = search(batch, np.concatenate([codes, codes], axis=2))
     assert sum(rescored) == B * M * T
     assert np.array_equal(doubled, indices)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("shared", [False, True], ids=["T'=T", "T'=1"])
+@pytest.mark.parametrize("data", ["normal", "grid"])
+def test_threaded_single_image_search_is_the_serial_one_bit_for_bit(monkeypatch, data, shared, workers):
+    """Token slices split over worker threads give the bits of one serial pass.
+    Grids tie exactly, with a duplicate code after its first copy; codes sit 5
+    bytes off alignment, as a mapped pool's do. A call of one slice starts no
+    thread."""
+    rng = np.random.default_rng(22)
+    M, T, K, d = 2, 9, 7, 3
+    shape = (M, 1 if shared else T, K, d)
+    # three images in turn, so a column a call fails to write keeps another
+    # image's value from the memory numpy hands it again
+    if data == "normal":
+        codes, images = rng.standard_normal(shape), rng.standard_normal((3, T, d))
+    else:
+        codes = rng.integers(-2, 3, size=shape).astype(float)
+        codes[:, :, 3] = codes[:, :, 1]
+        images = rng.integers(-3, 4, size=(3, T, d)) + 0.5 * rng.integers(0, 2, size=(3, T, d))
+    unaligned = np.frombuffer(bytes(5) + codes.tobytes(), offset=5).reshape(codes.shape)
+    monkeypatch.setattr(quantizer, "_pool", None)
+    monkeypatch.setattr(quantizer, "_WORKERS", 1)
+    wants = [quantizer._difference_search(tokens, codes) for tokens in images]
+    assert quantizer._pool is None  # one slice: no thread
+    if data == "grid":
+        assert not any((i == 3).any() for i, _ in wants)  # the later duplicate is never chosen
+    monkeypatch.setattr(quantizer, "_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # 504 bytes per token (differences to M groups plus the token repeated
+        # K times) per worker: slices of 1, 2 and 4 tokens, so 9, 5 and 3 slices
+        for per_slice, c in itertools.product((1, 2, 4), (codes, unaligned)):
+            monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 8 * (M + 1) * K * d * workers * per_slice)
+            for tokens, want in zip(images, wants):
+                for got, w in zip(quantizer._difference_search(tokens, c), want):
+                    assert np.array_equal(got, w)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (quantizer._pool is not None) == (workers > 1)
+    if quantizer._pool is not None:
+        quantizer._pool.shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # forking a process that has threads
+def test_a_forked_child_searches_with_threads_of_its_own(monkeypatch):
+    """The parent's search threads do not exist in a forked child; the child
+    must start its own rather than wait on them for ever."""
+    rng = np.random.default_rng(23)
+    tokens, codes = rng.standard_normal((9, 3)), rng.standard_normal((2, 9, 7, 3))
+    monkeypatch.setattr(quantizer, "_pool", None)
+    monkeypatch.setattr(quantizer, "_WORKERS", 2)
+    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 1)
+    want = quantizer._difference_search(tokens, codes)
+    assert quantizer._pool is not None
+    pid = os.fork()
+    if pid == 0:
+        code = 2
+        try:
+            got = quantizer._difference_search(tokens, codes)
+            code = 0 if all(np.array_equal(g, w) for g, w in zip(got, want)) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    quantizer._pool.shutdown()
+    assert done[0] == pid, "the child hung"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def broadcast_search(batch, codes):
