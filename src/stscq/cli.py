@@ -77,9 +77,11 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, (tokens, _, pca, images) = _training_corpus(args)
+    stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
+    if 3 in stages and images is None:
+        raise StscqError("stage 3 needs an image corpus (manifest), not raw tokens")
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stages = [1, 2, 3] if args.stage == "all" else [int(args.stage)]
     report = TrainReport()
 
     if 1 in stages:
@@ -97,8 +99,6 @@ def cmd_train(args) -> int:
         p2 = out / "pool_stage2.pool"
         if not p2.exists():
             raise StscqError("stage 3 requires stage-2 artifacts; run --stage 2 first")
-        if images is None:
-            raise StscqError("stage 3 needs an image corpus (manifest), not raw tokens")
         pool = load_pool(p2)
         refit = stage3(images, pool, pca, cfg, report=report)
         save_pca(refit, out / "pca_stage3.pca")
@@ -132,10 +132,7 @@ def cmd_encode(args) -> int:
         tokens = pca_encode(img, pca).values
         width, height, channels = img.width, img.height, img.channels
     else:
-        try:
-            tokens = np.load(args.tokens)
-        except ValueError as e:  # not a .npy array numpy can read without pickle
-            raise StscqError(f"{args.tokens} is not a readable .npy token array: {e}") from e
+        tokens = synth.load_arrays(args.tokens)
         if not isinstance(tokens, np.ndarray):
             raise ShapeMismatch(f"{args.tokens} holds no single (T, d) token array; save one with numpy.save")
         width, height, channels = args.width, args.height, pca.channels if pca else 1

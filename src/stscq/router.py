@@ -57,12 +57,6 @@ def init_router(d: int, M: int, h: int = 64, seed: int = 0) -> RouterParams:
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _pool_tokens(tokens) -> np.ndarray:
     values = np.asarray(getattr(tokens, "values", tokens), dtype=np.float64)
     if values.ndim == 2:
@@ -70,13 +64,21 @@ def _pool_tokens(tokens) -> np.ndarray:
     return values  # already pooled
 
 
-def router_probs(x: np.ndarray, p: RouterParams) -> np.ndarray:
-    """Softmax selection probabilities for pooled input(s) x of dim d."""
+def _forward(x: np.ndarray, p: RouterParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scorer's pre-activation, hidden layer and softmax probabilities for pooled x."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != p.d:
         raise DimensionMismatch(f"input dim {x.shape[-1]} vs router dim {p.d}")
-    hidden = np.maximum(x @ p.W1.T + p.b1, 0.0)
-    return _softmax(hidden @ p.W2.T + p.b2)
+    pre = x @ p.W1.T + p.b1
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ p.W2.T + p.b2
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return pre, hidden, z / z.sum(axis=-1, keepdims=True)
+
+
+def router_probs(x: np.ndarray, p: RouterParams) -> np.ndarray:
+    """Softmax selection probabilities for pooled input(s) x of dim d."""
+    return _forward(x, p)[2]
 
 
 def route_naive(tokens, pool: CodebookPool) -> int:
@@ -97,47 +99,51 @@ def route_learned(tokens, p: RouterParams) -> tuple[int, np.ndarray]:
     return int(probs.argmax()), probs
 
 
-def _safe_log(x: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(x, _LOG_FLOOR))
+def _batch(dists, errors=None) -> tuple[np.ndarray, np.ndarray]:
+    """(B, M) distributions and errors (zeros when not given) as float64; one
+    distribution is a batch of one."""
+    g = np.asarray(list(dists), dtype=np.float64)
+    e = np.zeros_like(g) if errors is None else np.asarray(errors, dtype=np.float64)
+    if g.size == 0:
+        raise EmptyBatch("the routing loss needs a non-empty batch")
+    if g.shape != e.shape:
+        raise LengthMismatch(f"dists {g.shape} vs errors {e.shape}")
+    return np.atleast_2d(g), np.atleast_2d(e)
+
+
+def _loss_terms(g: np.ndarray, e: np.ndarray):
+    """The guided, balance and decisive terms of (B, M) distributions g under
+    errors e, and the pieces of their gradient: the centered errors, log g and log ḡ."""
+    B, M = g.shape
+    centered = e - e.mean(axis=1, keepdims=True)
+    gbar = g.mean(axis=0)
+    log_g = np.log(np.maximum(g, _LOG_FLOOR))
+    log_gbar = np.log(np.maximum(gbar, _LOG_FLOOR))
+    qua = float((g * centered).sum() / (B * M))
+    ent = float((gbar * log_gbar).sum())
+    dec = float(-(g * log_g).sum() / (B * M))
+    return (qua, ent, dec), (centered, log_g, log_gbar)
 
 
 def loss_entropy(batch_dists) -> float:
     """Negative entropy of the batch-mean distribution (minimizing balances routing)."""
-    dists = np.asarray(list(batch_dists), dtype=np.float64)
-    if dists.size == 0:
-        raise EmptyBatch("loss_entropy needs a non-empty batch")
-    gbar = dists.mean(axis=0)
-    terms = np.where(gbar > 0.0, gbar * _safe_log(gbar), 0.0)
-    return float(terms.sum())
+    return _loss_terms(*_batch(batch_dists))[0][1]
 
 
 def loss_decisive(dist) -> float:
     """Scaled entropy of one distribution; zero exactly at one-hot."""
-    g = np.asarray(dist, dtype=np.float64)
-    terms = np.where(g > 0.0, g * _safe_log(g), 0.0)
-    return float(-terms.sum() / g.shape[0])
+    return _loss_terms(*_batch(dist))[0][2]
 
 
 def loss_quant_guided(dist, errors) -> float:
     """Probability-weighted centered quantization errors (errors are constants)."""
-    g = np.asarray(dist, dtype=np.float64)
-    e = np.asarray(errors, dtype=np.float64)
-    if g.shape != e.shape:
-        raise LengthMismatch(f"dist {g.shape} vs errors {e.shape}")
-    return float((g * (e - e.mean())).sum() / g.shape[0])
+    return _loss_terms(*_batch(dist, errors))[0][0]
 
 
 def loss_router(dists, errors, lam1: float = 0.1, lam2: float = 0.1) -> float:
     """Composite routing loss: batch-mean guided + lam1*entropy + lam2*decisive."""
-    dists = np.asarray(list(dists), dtype=np.float64)
-    errors = np.asarray(errors, dtype=np.float64)
-    if dists.size == 0:
-        raise EmptyBatch("loss_router needs a non-empty batch")
-    if dists.shape != errors.shape:
-        raise LengthMismatch(f"dists {dists.shape} vs errors {errors.shape}")
-    qua = np.mean([loss_quant_guided(g, e) for g, e in zip(dists, errors)])
-    dec = np.mean([loss_decisive(g) for g in dists])
-    return float(qua + lam1 * loss_entropy(dists) + lam2 * dec)
+    qua, ent, dec = _loss_terms(*_batch(dists, errors))[0]
+    return float(qua + lam1 * ent + lam2 * dec)
 
 
 def router_loss_and_grads(
@@ -157,23 +163,11 @@ def router_loss_and_grads(
     if x.ndim != 2 or e.ndim != 2 or x.shape[0] != e.shape[0]:
         raise LengthMismatch("inputs and errors must be (B, d) and (B, M)")
     B, M = e.shape
-
-    pre = x @ p.W1.T + p.b1
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ p.W2.T + p.b2
-    g = _softmax(logits)  # (B, M)
-
-    centered = e - e.mean(axis=1, keepdims=True)
-    gbar = g.mean(axis=0)
-    log_g = _safe_log(g)
-    log_gbar = _safe_log(gbar)
-
-    qua = float((g * centered).sum() / (B * M))
-    ent = float((gbar * log_gbar).sum())
-    dec = float(-(g * log_g).sum() / (B * M))
+    pre, hidden, g = _forward(x, p)
+    (qua, ent, dec), (centered, log_g, log_gbar) = _loss_terms(g, e)
     loss = qua + lam1 * ent + lam2 * dec
 
-    # dL/dg, then back through softmax per sample
+    # dL/dg, then back through softmax per sample; the golden loss curves depend on this order
     dg = centered / (B * M)
     dg = dg + lam1 * (log_gbar + 1.0)[None, :] / B
     dg = dg - lam2 * (log_g + 1.0) / (B * M)

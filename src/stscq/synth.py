@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import BadSpec, LengthMismatch, StscqError
 from .latent import ImageBuffer, write_pnm
 
 
@@ -85,13 +85,30 @@ def save_token_corpus(path, tokens, labels, means, spec: MixtureSpec) -> None:
     )
 
 
+def load_arrays(path) -> np.ndarray | dict[str, np.ndarray]:
+    """The array of a .npy file, or every array of a .npz archive read whole. Bytes
+    numpy cannot parse, for which it raises BadZipFile, EOFError, ValueError,
+    tokenize.TokenError and more, are a StscqError naming the file."""
+    try:
+        with open(path, "rb") as f:
+            loaded = np.load(f, allow_pickle=False)
+            if isinstance(loaded, np.lib.npyio.NpzFile):
+                return {name: loaded[name] for name in loaded.files}
+            trailing = f.read(1)
+    except Exception as e:
+        raise StscqError(f"{path} is not a readable .npy or .npz file: {e}") from e
+    if trailing:
+        raise LengthMismatch(f"{path} has bytes after its array")
+    return loaded
+
+
 def load_token_corpus(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, MixtureSpec]:
-    with np.load(path, allow_pickle=False) as z:
-        missing = {"tokens", "labels", "means", "spec"} - set(z.files)
-        if missing:
-            raise BadSpec(f"{path} has no {sorted(missing)}")
-        spec = build_spec(MixtureSpec, json.loads(str(z["spec"])))
-        return z["tokens"], z["labels"], z["means"], spec
+    z = load_arrays(path)
+    missing = {"tokens", "labels", "means", "spec"} - set(z if isinstance(z, dict) else ())
+    if missing:
+        raise BadSpec(f"{path} has no {sorted(missing)}")
+    spec = build_spec(MixtureSpec, json.loads(str(z["spec"])))
+    return z["tokens"], z["labels"], z["means"], spec
 
 
 @dataclass

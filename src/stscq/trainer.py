@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codebook import CodebookPool, init_kmeanspp
-from .errors import DivergenceDetected, HeaderMismatch, StageOrderError, TooFewSamples
+from .errors import DivergenceDetected, HeaderMismatch, RangeViolation, StageOrderError, TooFewSamples
 from .latent import PcaTransform, encode, image_patches
 from .metrics import corpus_utilization
 from .quantizer import codes_at, quantize_corpus, search
@@ -191,6 +191,13 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
     return codes, curve
 
 
+def _training_tokens(data) -> np.ndarray:
+    data = np.asarray(data, dtype=np.float64)
+    if not np.isfinite(data).all():
+        raise RangeViolation("training tokens must be finite")
+    return data
+
+
 def stage1(
     data: np.ndarray,
     cfg: TrainConfig,
@@ -199,7 +206,7 @@ def stage1(
 ) -> tuple[CodebookPool, RouterParams]:
     """Train token-shared switchable codebooks jointly with the router."""
     cfg.validate()
-    data = np.asarray(data, dtype=np.float64)
+    data = _training_tokens(data)
     if pool is None:
         pool = init_stage1_pool(data, cfg)
     router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
@@ -230,7 +237,7 @@ def stage2(
                                  f"the config says {name}={getattr(cfg, name)}")
     if router.M != shared_pool.M:
         raise HeaderMismatch(f"the router scores M={router.M} groups, the pool has M={shared_pool.M}")
-    data = np.asarray(data, dtype=np.float64)
+    data = _training_tokens(data)
     router = router.copy()
     start = time.perf_counter()
     codes, curve = _refine(data, np.broadcast_to(shared_pool.codes, (cfg.M, cfg.T, cfg.K, cfg.d)), router,

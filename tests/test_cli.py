@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stscq import cli, synth
 from stscq.cli import main
+from stscq.errors import StscqError
 
 
 def run(*argv):
@@ -147,8 +153,10 @@ def test_encode_non_finite_tokens_is_data_error(tmp_path, trained, capsys):
         lambda p: np.save(p, np.array([{"a": 1}, None], dtype=object), allow_pickle=True),
         lambda p: p.write_bytes(np.random.default_rng(0).bytes(100)),
         lambda p: p.write_bytes(b"\x93NUMPY\x01\x00"),
+        # numpy reads the declared (4, 4) and ignores the rest
+        lambda p: (np.save(p, np.zeros((4, 4))), p.write_bytes(p.read_bytes() + bytes(8))),
     ],
-    ids=["object-array", "random-bytes", "truncated-header"],
+    ids=["object-array", "random-bytes", "truncated-header", "trailing-bytes"],
 )
 def test_encode_unreadable_tokens_file_is_data_error(tmp_path, trained, capsys, write):
     # np.load raises ValueError, which main used to report as a config error
@@ -612,3 +620,85 @@ def test_encode_tokens_from_an_npz_is_data_error(tmp_path, trained, token_corpus
     assert rc == 3
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "t.stscq").exists()
+
+
+@pytest.mark.parametrize("stage", ["1", "2"])
+def test_non_finite_training_tokens_are_a_data_error(tmp_path, token_corpus, capsys, stage):
+    # these used to train to a NaN loss and exit 4, "numeric divergence at step 0";
+    # every matrix has one, so the first batch meets it
+    tokens, labels, means, spec = synth.load_token_corpus(token_corpus)
+    tokens = tokens.copy()
+    tokens[:, 1, 2] = np.nan
+    synth.save_token_corpus(tmp_path / "nan.npz", tokens, labels, means, spec)
+    flags = [M_FLAG, 2, K_FLAG, 4, T_FLAG, 4, "--d", 4, "--steps-stage1", 10, "--steps-stage2", 10, "--router-warmup", 5]
+    if stage == "2":
+        assert run("train", "--data", token_corpus, "--out-dir", tmp_path / "o", "--stage", "1", *flags) == 0
+    capsys.readouterr()
+    rc = run("train", "--data", tmp_path / "nan.npz", "--out-dir", tmp_path / "o", "--stage", stage, *flags)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+    assert not (tmp_path / "o" / f"pool_stage{stage}.pool").exists()
+
+
+def test_default_stages_over_tokens_fail_before_training(tmp_path, token_corpus, capsys, monkeypatch):
+    # --stage all used to train stages 1 and 2 and write their four artifacts
+    # before stage 3 found it had no images
+    monkeypatch.setattr(cli, "stage1", lambda *a, **k: pytest.fail("stage 1 ran"))
+    rc = run("train", "--data", token_corpus, "--out-dir", tmp_path / "o", M_FLAG, 2, K_FLAG, 4, T_FLAG, 4, "--d", 4)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "image corpus" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def numpy_files(tmp_path_factory):
+    """A small token corpus saved as a .npz, and its first matrix as a .npy."""
+    out = tmp_path_factory.mktemp("numpy")
+    spec = synth.MixtureSpec(clusters=2, T=4, d=4, samples=16, seed=0)
+    corpus = synth.make_token_corpus(spec)
+    synth.save_token_corpus(out / "tokens.npz", *corpus, spec)
+    np.save(out / "tokens.npy", corpus[0][0])
+    return out, corpus, spec
+
+
+@pytest.mark.parametrize("kind", ["npz", "npy"])
+@settings(deadline=None, derandomize=True, max_examples=300)
+# positions in the first 128 bytes (the .npy header, the zip's first member
+# header), the last 128 (the zip's central directory) and anywhere
+@given(edit=st.sampled_from(["cut", "flip"]),
+       at=st.integers(0, 8 * 128) | st.integers(-8 * 128, -1) | st.integers(0, 2**16))
+def test_token_files_survive_truncation_and_bit_flips(numpy_files, trained, kind, edit, at):
+    """A cut or flipped token file raises StscqError, which the CLI reports with exit 2 or 3
+    and no traceback, or it loads the saved arrays. A .npy has no checksum, so a
+    flipped value may also load, as the array whose saved bytes are the edited file."""
+    out, (tokens, labels, means), spec = numpy_files
+    raw = bytearray((out / f"tokens.{kind}").read_bytes())
+    if edit == "cut":
+        del raw[at % len(raw):]
+    else:
+        at %= 8 * len(raw)
+        raw[at // 8] ^= 1 << (at % 8)
+    path = out / f"edited.{kind}"
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = synth.load_token_corpus(path) if kind == "npz" else synth.load_arrays(path)
+    except StscqError:
+        pool = trained / "pool_stage2.pool"
+        if kind == "npz":
+            argv = ["eval", "--data", path, "--pool", pool, "--out", out / "rd.csv"]
+        else:
+            argv = ["encode", "--tokens", path, "--width", 8, "--height", 8, "--pool", pool, "--out", out / "t.stscq"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run(*argv)
+        assert rc in (2, 3) and "Traceback" not in err.getvalue()
+        return
+    if kind == "npz":
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(loaded[:3], (tokens, labels, means)))
+        assert loaded[3] == spec
+    else:
+        resaved = io.BytesIO()
+        np.save(resaved, loaded)
+        assert (np.array_equal(loaded, tokens[0]) and loaded.dtype == tokens.dtype) or resaved.getvalue() == raw

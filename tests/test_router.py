@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from stscq.router import (
     route_learned,
     route_naive,
     router_loss_and_grads,
+    router_probs,
     save_router,
 )
 
@@ -208,6 +210,44 @@ def test_loss_bounds():
             assert -1e-9 <= loss_decisive(row) <= math.log(M) / M + 1e-9
 
 
+def _xlogx(v):
+    return np.where(v > 0.0, v * np.log(np.maximum(v, 1e-12)), 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_public_losses_keep_their_per_distribution_values(seed):
+    """Each loss as it was written per distribution, on non-negative entries
+    that include zeros, a one-hot, a value under the log floor and a row not summing to one."""
+    rng = np.random.default_rng(seed)
+    dists = rng.dirichlet(np.ones(5), size=6)
+    dists[0, 2] = 0.0
+    dists[1] = np.eye(5)[3]
+    dists[2, 1] = 1e-15
+    dists[3] *= 3.0
+    errors = rng.random((6, 5)) * 3
+    ent = _xlogx(dists.mean(axis=0)).sum()
+    dec = [-_xlogx(g).sum() / 5 for g in dists]
+    qua = [(g * (e - e.mean())).sum() / 5 for g, e in zip(dists, errors)]
+    assert loss_entropy(dists) == pytest.approx(ent, rel=1e-12, abs=1e-15)
+    for g, e, d, q in zip(dists, errors, dec, qua):
+        assert loss_decisive(g) == pytest.approx(d, rel=1e-12, abs=1e-15)
+        assert loss_quant_guided(g, e) == pytest.approx(q, rel=1e-12, abs=1e-15)
+    expect = np.mean(qua) + 0.3 * ent + 0.7 * np.mean(dec)
+    assert loss_router(dists, errors, 0.3, 0.7) == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("call", [lambda: loss_router([], []), lambda: loss_decisive([]),
+                                  lambda: loss_quant_guided([], [])], ids=["router", "decisive", "guided"])
+def test_losses_reject_an_empty_batch(call):
+    with pytest.raises(EmptyBatch):
+        call()
+
+
+def test_loss_router_length_mismatch():
+    with pytest.raises(LengthMismatch):
+        loss_router(np.full((3, 4), 0.25), np.zeros((3, 5)))
+
+
 def test_gradient_check_finite_differences():
     rng = np.random.default_rng(8)
     p = init_router(5, 6, h=12, seed=9)
@@ -229,6 +269,45 @@ def test_gradient_check_finite_differences():
             analytic = grads[name].reshape(-1)[j]
             denom = max(abs(fd), abs(analytic), 1e-8)
             assert abs(fd - analytic) / denom <= 1e-4
+
+
+# SHA-256 of the loss and the W1, b1, W2, b2 gradients, as the code before the
+# loss was written once gave them. Neither B nor M is a power of two, and lam1 !=
+# lam2, so dividing by B*M before or after scaling by a lambda shows in the last
+# bits. Like tests/test_golden.py, these hold for this host's BLAS and numpy loops.
+ROUTER_BYTES = {
+    (7, 5): "01220bdd5a7f0d4434daecd59b3b03208957c26cec3f0373a6cb021906919f92",
+    (33, 6): "82766fc53680fb0356d70124e0285740e1e32609bbf94068a94d770c38fb10f7",
+    (1, 3): "6a1642565b237be6609004be90a69b7d8d4c931ed607ddd048522527c757b333",
+}
+
+
+@pytest.mark.parametrize("B, M", list(ROUTER_BYTES))
+def test_router_loss_and_grads_keep_their_bytes(B, M):
+    rng = np.random.default_rng(1300 + B)
+    p = init_router(5, M, h=11, seed=1300 + B)
+    p.b1 += rng.standard_normal(p.h) * 0.1
+    p.b2 += rng.standard_normal(M) * 0.1
+    x = rng.standard_normal((B, 5))
+    errors = rng.random((B, M)) * 4
+    loss, grads = router_loss_and_grads(x, errors, p, 0.3, 0.7)
+    h = hashlib.sha256(np.float64(loss).tobytes())
+    for name in ("W1", "b1", "W2", "b2"):
+        h.update(grads[name].tobytes())
+    assert h.hexdigest() == ROUTER_BYTES[B, M]
+
+
+@pytest.mark.parametrize("B", [1, 2, 3, 5, 7, 9, 16, 33])
+def test_loss_router_is_the_training_loss_exactly(B):
+    """The public loss of the scorer's distributions is the loss training descends, bit for bit."""
+    for M in (1, 2, 3, 5, 8, 13):
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            p = init_router(4, M, h=9, seed=seed)
+            x = rng.standard_normal((B, 4))
+            errors = rng.random((B, M)) * 3
+            expect = router_loss_and_grads(x, errors, p, 0.3, 0.7)[0]
+            assert loss_router(router_probs(x, p), errors, 0.3, 0.7) == expect, (M, seed)
 
 
 def test_nn_encode_is_router_independent():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stscq.codebook import load_pool, save_pool
-from stscq.errors import DivergenceDetected, HeaderMismatch, StageOrderError, TooFewSamples
+from stscq.errors import DivergenceDetected, HeaderMismatch, RangeViolation, StageOrderError, TooFewSamples
 from stscq.latent import ImageBuffer, encode, fit_pca, image_patches
 from stscq.quantizer import dequantize, group_errors, quantize_routed
 from stscq.router import init_router
@@ -148,6 +148,20 @@ def test_stage2_rejects_a_pool_of_another_shape(mixture, name, value):
     pool1, router1 = stage1(tokens, cfg)
     with pytest.raises(HeaderMismatch, match=f"{name}={getattr(cfg, name)}.* {name}={value}"):
         stage2(tokens, pool1, router1, replace(cfg, **{name: value}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stages_reject_non_finite_tokens_before_any_step(mixture, bad):
+    # both stages used to train on them until the loss was NaN at step 0
+    tokens, _, _ = mixture
+    cfg = small_cfg(steps_stage1=20, router_warmup=10)
+    pool1, router1 = stage1(tokens, cfg)
+    spoiled = tokens.copy()
+    spoiled[5, 1, 2] = bad
+    with pytest.raises(RangeViolation, match="finite"):
+        stage1(spoiled, cfg)
+    with pytest.raises(RangeViolation, match="finite"):
+        stage2(spoiled, pool1, router1, cfg)
 
 
 def test_init_stage1_pool_needs_enough_samples_to_top_up_a_thin_shard():
