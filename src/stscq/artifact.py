@@ -4,6 +4,7 @@ An ASCII magic, a little-endian struct header of unsigned fields whose first
 is the format version, then little-endian float64 arrays that end the file.
 """
 
+import itertools
 import math
 import mmap
 import os
@@ -83,4 +84,6 @@ def read(path, magic: bytes, fmt: str, versions, shapes, mapped=None) -> tuple[t
             flat = np.frombuffer(buf, dtype=_F8, count=sum(sizes), offset=f.tell())
         else:
             flat = np.fromfile(f, dtype=_F8, count=sum(sizes))
-    return fields, [a.reshape(s) for a, s in zip(np.split(flat, np.cumsum(sizes[:-1])), dims)]
+    # slices, not np.split, whose overhead is a visible share of loading a small file
+    ends = itertools.accumulate(sizes)
+    return fields, [flat[e - n : e].reshape(s) for e, n, s in zip(ends, sizes, dims)]

@@ -12,6 +12,8 @@ import math
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import artifact
 from .codebook import CodebookPool, bit_width
 from .errors import HeaderMismatch, LengthMismatch, NonZeroPadding, RangeViolation, Truncated
@@ -72,6 +74,11 @@ def serialize(q: QuantizedImage, header: StreamHeader) -> bytes:
     return header.pack() + (value << (8 * need - nbits)).to_bytes(need, "big")
 
 
+def _fields(bits: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The n unsigned MSB-first `width`-bit fields that `bits` (one per byte) hold."""
+    return bits.reshape(n, width) @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+
+
 def deserialize(data: bytes, pool: CodebookPool) -> QuantizedImage:
     header, off = StreamHeader.unpack(data)
     if (header.M, header.K, header.T) != (pool.M, pool.K, pool.T):
@@ -86,14 +93,12 @@ def deserialize(data: bytes, pool: CodebookPool) -> QuantizedImage:
         raise Truncated(f"payload has {len(payload)} bytes, need {need}")
     if len(payload) > need:
         raise LengthMismatch(f"{len(payload) - need} bytes after the {need}-byte payload")
-    value = int.from_bytes(payload, "big")
-    pad = 8 * need - nbits
-    if value & ((1 << pad) - 1):
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    if bits[nbits:].any():
         raise NonZeroPadding("trailing pad bits must be zero")
-    value >>= pad
     kb = bit_width(header.K)
-    mask = (1 << kb) - 1
-    q = QuantizedImage(value >> (kb * header.T), [value >> (kb * t) & mask for t in reversed(range(header.T))])
+    mb = bit_width(header.M)
+    q = QuantizedImage(int(_fields(bits[:mb], 1, mb)[0]), _fields(bits[mb:nbits], header.T, kb))
     if q.group_index >= header.M or (q.indices >= header.K).any():
         raise RangeViolation(f"group index or code index outside M={header.M}, K={header.K}")
     return q

@@ -31,6 +31,11 @@ PCA_MAGIC = b"STSCQPCA"
 PCA_VERSION_ENC = 1
 PCA_VERSION_DEC = 2
 _PCA_HEADER = "<BHBH"  # version, patch_size, channels, d
+# Decode and PNM write work in bands of at most this many bytes of float64
+# temporaries (decode's band is one patch row when that is larger): big ones are
+# handed back to the OS when freed and faulted in again on the next image.
+# Bands of one patch row each slowed evaluation over many small images.
+_BAND_BYTES = 64 * 1024
 
 
 @dataclass
@@ -42,7 +47,7 @@ class ImageBuffer:
 
     def __post_init__(self):
         if self.channels not in (1, 3):
-            raise ValueError("channels must be 1 or 3")
+            raise ShapeMismatch(f"channels must be 1 or 3, not {self.channels}")
         self.data = np.asarray(self.data, dtype=np.float64).reshape(
             self.height, self.width, self.channels
         )
@@ -63,7 +68,7 @@ class TokenMatrix:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
-            raise ValueError("token matrix must be 2-D")
+            raise ShapeMismatch(f"token matrix must be 2-D, got shape {self.values.shape}")
 
     @property
     def T(self) -> int:
@@ -101,29 +106,19 @@ class PcaTransform:
         return self.basis, self.mean
 
 
-def _check_divisible(img: ImageBuffer, patch_size: int) -> None:
-    if img.width % patch_size or img.height % patch_size:
-        raise NonDivisibleImage(
-            f"{img.width}x{img.height} image not divisible by patch size {patch_size}"
-        )
+def _check_divisible(width: int, height: int, patch_size: int) -> None:
+    if width % patch_size or height % patch_size:
+        raise NonDivisibleImage(f"{width}x{height} image not divisible by patch size {patch_size}")
 
 
 def image_patches(img: ImageBuffer, patch_size: int) -> np.ndarray:
     """(T, p) matrix of flattened patches in raster (row-major) order."""
-    _check_divisible(img, patch_size)
+    _check_divisible(img.width, img.height, patch_size)
     gh = img.height // patch_size
     gw = img.width // patch_size
     patches = img.data.reshape(gh, patch_size, gw, patch_size, img.channels)
     patches = patches.transpose(0, 2, 1, 3, 4)
     return patches.reshape(gh * gw, patch_size * patch_size * img.channels)
-
-
-def patches_to_image(patches: np.ndarray, patch_size: int, width: int, height: int, channels: int) -> ImageBuffer:
-    gh = height // patch_size
-    gw = width // patch_size
-    arr = patches.reshape(gh, gw, patch_size, patch_size, channels)
-    arr = arr.transpose(0, 2, 1, 3, 4).reshape(height, width, channels)
-    return ImageBuffer(width=width, height=height, channels=channels, data=np.clip(arr, 0.0, 1.0))
 
 
 def token_count(width: int, height: int, patch_size: int) -> int:
@@ -177,16 +172,34 @@ def encode(img: ImageBuffer, t: PcaTransform) -> TokenMatrix:
 
 
 def decode(tokens, t: PcaTransform, width: int, height: int) -> ImageBuffer:
-    """Map tokens back to patches and reassemble; output clamped to [0, 1]."""
+    """Map tokens back to patches and reassemble; output clamped to [0, 1].
+
+    The returned image's array is the only image-sized allocation: the patches
+    are computed into it, then put into raster order band by band in place."""
     values = np.asarray(getattr(tokens, "values", tokens), dtype=np.float64)
-    expected = token_count(width, height, t.patch_size)
+    ps, c = t.patch_size, t.channels
+    _check_divisible(width, height, ps)
+    expected = token_count(width, height, ps)
     if values.shape != (expected, t.d):
         raise ShapeMismatch(
             f"tokens {values.shape} vs expected ({expected}, {t.d}) for {width}x{height}"
         )
     dec, dec_mean = t.decode_map()
-    patches = values @ dec + dec_mean
-    return patches_to_image(patches, t.patch_size, width, height, t.channels)
+    data = np.empty((height, width, c))
+    # one product over all T tokens: products over row bands of the tokens gave
+    # other bits than the single product under some BLAS kernels
+    patches = np.matmul(values, dec, out=data.reshape(expected, t.patch_dim))
+    patches += dec_mean
+    # a row of patches fills the same bytes in patch order and in raster order,
+    # so each band of whole patch rows is permuted within its own rows
+    gw = width // ps
+    band_rows = max(1, _BAND_BYTES // max(1, data[:ps].nbytes))
+    for g0 in range(0, height // ps, band_rows):
+        band = data[g0 * ps : (g0 + band_rows) * ps]
+        n = band.shape[0] // ps
+        in_patch_order = band.reshape(n, gw, ps, ps, c).copy()
+        np.clip(in_patch_order.transpose(0, 2, 1, 3, 4), 0.0, 1.0, out=band.reshape(n, ps, gw, ps, c))
+    return ImageBuffer(width=width, height=height, channels=c, data=data)
 
 
 # --- portable pixmap IO (binary PGM/PPM, maxval 255) ---
@@ -227,10 +240,16 @@ def read_pnm(path) -> ImageBuffer:
 
 def write_pnm(img: ImageBuffer, path) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
-    pixels = np.clip(np.rint(img.data * 255.0), 0, 255).astype(np.uint8)
+    pixels = np.empty(img.data.shape, dtype=np.uint8)
+    rows = max(1, _BAND_BYTES // max(1, img.data[:1].nbytes))
+    for r0 in range(0, img.height, rows):
+        band = img.data[r0 : r0 + rows] * 255.0
+        np.rint(band, out=band)
+        np.clip(band, 0, 255, out=band)
+        pixels[r0 : r0 + rows] = band
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
-        f.write(pixels.tobytes())
+        f.write(pixels)
 
 
 # --- transform persistence ---
@@ -256,4 +275,6 @@ def load_pca(path) -> PcaTransform:
     (_, patch_size, channels, _), arrays = artifact.read(
         path, PCA_MAGIC, _PCA_HEADER, (PCA_VERSION_ENC, PCA_VERSION_DEC), _pca_shapes
     )
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise RangeViolation(f"pca file {path} holds non-finite values")
     return PcaTransform(patch_size, channels, *arrays)

@@ -315,4 +315,8 @@ def dequantize(q: QuantizedImage, pool: CodebookPool) -> np.ndarray:
         raise IndexOutOfRange(f"expected {pool.T} indices, got {q.indices.shape}")
     if (q.indices < 0).any() or (q.indices >= pool.K).any():
         raise IndexOutOfRange("code index outside [0, K)")
-    return codes_at(pool, q.group_index, q.indices)
+    z = codes_at(pool, q.group_index, q.indices)
+    # only the gathered rows: a full pass over a mapped pool would read all of it
+    if not np.isfinite(z).all():
+        raise RangeViolation(f"group {q.group_index}'s codes at the stream's indices are not finite")
+    return z

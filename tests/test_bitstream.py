@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from stscq.bitstream import (
     StreamHeader,
+    bit_width,
     bpp,
     deserialize,
     payload_bits,
@@ -177,6 +178,58 @@ def test_payload_matches_bit_string_oracle(fields):
     q = deserialize(header.pack() + oracle, pool)
     assert q.group_index == group
     assert q.indices.tolist() == indices
+
+
+def loop_unpack(payload: bytes, M: int, K: int, T: int) -> tuple[int, list[int]]:
+    """The big-integer shift loop that unpacked payloads before numpy did."""
+    nbits = payload_bits(T, K, M)
+    value = int.from_bytes(payload, "big")
+    pad = 8 * len(payload) - nbits
+    if value & ((1 << pad) - 1):
+        raise NonZeroPadding("trailing pad bits must be zero")
+    value >>= pad
+    kb = bit_width(K)
+    mask = (1 << kb) - 1
+    group, indices = value >> (kb * T), [value >> (kb * t) & mask for t in reversed(range(T))]
+    if group >= M or any(i >= K for i in indices):
+        raise RangeViolation("group index or code index out of range")
+    return group, indices
+
+
+@st.composite
+def _raw_payloads(draw):
+    """M, K, T and a payload whose fields fill their whole bit widths, so some
+    exceed M or K, and whose pad bits are drawn too."""
+    M, K, T = draw(st.integers(1, 4096)), draw(st.integers(1, 4096)), draw(st.integers(1, 300))
+    mb, kb = bit_width(M), bit_width(K)
+    pad = -payload_bits(T, K, M) % 8
+    value = draw(st.integers(0, 2**mb - 1))
+    for i in draw(st.lists(st.integers(0, 2**kb - 1), min_size=T, max_size=T)):
+        value = value << kb | i
+    value = value << pad | draw(st.integers(0, 2**pad - 1))
+    return M, K, T, value.to_bytes((payload_bits(T, K, M) + pad) // 8, "big")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_raw_payloads())
+@example((1, 1, 1, b""))
+@example((1, 1, 300, b""))
+@example((4096, 4096, 300, b"\xff" * 452))
+@example((3, 5, 2, b"\x28"))
+@example((2, 4, 3, b"\x01"))
+def test_deserialize_matches_the_shift_loop(fields):
+    """The same group and indices as the loop, or the same error class."""
+    M, K, T, payload = fields
+    pool = CodebookPool(np.broadcast_to(np.zeros(()), (M, 1, K, 1)), T=T)
+    try:
+        expect = loop_unpack(payload, M, K, T)
+    except (NonZeroPadding, RangeViolation) as e:
+        with pytest.raises(type(e)):
+            deserialize(header_for(pool).pack() + payload, pool)
+        return
+    q = deserialize(header_for(pool).pack() + payload, pool)
+    assert type(q.group_index) is int
+    assert (q.group_index, q.indices.tolist()) == expect
 
 
 def test_payload_bit_formula_grid():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -232,6 +233,37 @@ def test_decode_checks_stream_header_against_pca_and_pool(tmp_path, trained, cap
     assert rc == 3
     assert "Traceback" not in capsys.readouterr().err
     assert not (tmp_path / "r.pgm").exists()
+
+
+@pytest.mark.parametrize(
+    "broken, pca", [("pool", True), ("pool", False), ("pca", True)], ids=["pool-to-image", "pool-to-tokens", "pca"]
+)
+def test_decode_of_non_finite_codes_or_pca_is_data_error(tmp_path, capsys, broken, pca):
+    from stscq.bitstream import StreamHeader, serialize
+    from stscq.codebook import CodebookPool, save_pool
+    from stscq.latent import PcaTransform, save_pca
+    from stscq.quantizer import QuantizedImage
+
+    rng = np.random.default_rng(3)
+    codes = rng.standard_normal((2, 4, 4, 4))
+    mean = np.full(4, 0.5)
+    if broken == "pool":
+        codes[1, 2, 3, 0] = np.nan  # the code the stream gathers for token 2
+    else:
+        mean[1] = np.nan
+    save_pool(CodebookPool(codes, frozen=True), tmp_path / "p.pool")
+    save_pca(PcaTransform(2, 1, mean, np.eye(4)), tmp_path / "p.pca")
+    header = StreamHeader(M=2, K=4, T=4, width=4, height=4, channels=1)
+    (tmp_path / "s.stscq").write_bytes(serialize(QuantizedImage(1, [0, 1, 3, 2]), header))
+    out = tmp_path / ("r.pgm" if pca else "r.npy")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run("decode", "--stream", tmp_path / "s.stscq", "--pool", tmp_path / "p.pool",
+                 *(["--pca", tmp_path / "p.pca"] if pca else []), "--out", out)
+    assert rc == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
 
 
 @pytest.fixture

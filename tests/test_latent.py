@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from stscq.errors import (
     EmptyCorpus,
     HeaderMismatch,
     NonDivisibleImage,
+    RangeViolation,
     ShapeMismatch,
     StscqError,
     Truncated,
@@ -21,6 +23,7 @@ from stscq.errors import (
 from stscq.latent import (
     ImageBuffer,
     PcaTransform,
+    TokenMatrix,
     decode,
     encode,
     fit_pca,
@@ -263,3 +266,103 @@ def test_decode_clamps_to_unit_range():
     img = decode(np.array([[10.0, -10.0]]), t, 2, 2)
     assert img.data.max() <= 1.0
     assert img.data.min() >= 0.0
+
+
+def reference_decode(values, t, width, height):
+    """decode's arithmetic with a fresh array for every step, as it was before
+    it worked in one image-sized buffer."""
+    ps, c = t.patch_size, t.channels
+    dec, dec_mean = t.decode_map()
+    patches = values @ dec + dec_mean
+    arr = patches.reshape(height // ps, width // ps, ps, ps, c)
+    return np.clip(arr.transpose(0, 2, 1, 3, 4).reshape(height, width, c), 0.0, 1.0)
+
+
+def reference_pixels(data):
+    return np.clip(np.rint(data * 255.0), 0, 255).astype(np.uint8).tobytes()
+
+
+# (patch size, channels, patch columns, patch rows): with 64 KB bands the first
+# three take 3, 2 and 3 bands with a short last one, the fourth has one patch
+# row of 72 KB, over the band size, and the last two fit one band
+DECODE_GEOMETRIES = [(1, 1, 100, 200), (4, 3, 48, 5), (16, 3, 4, 5), (16, 3, 12, 2), (2, 1, 3, 7), (4, 3, 5, 2)]
+
+
+@pytest.mark.parametrize("ps, c, gw, gh", DECODE_GEOMETRIES)
+@pytest.mark.parametrize("refit", [False, True], ids=["basis", "decoder"])
+def test_decode_and_pnm_bytes_match_the_fresh_array_formulas(tmp_path, ps, c, gw, gh, refit):
+    rng = np.random.default_rng(ps * 100 + gw)
+    p = ps * ps * c
+    d = min(p, 8)
+    t = PcaTransform(ps, c, rng.uniform(0, 1, p), rng.standard_normal((d, p)) / 2)
+    if refit:
+        t.decoder, t.decoder_mean = rng.standard_normal((d, p)), rng.uniform(-0.5, 1.5, p)
+    values = rng.standard_normal((gh * gw, d))
+    width, height = gw * ps, gh * ps
+    img = decode(values, t, width, height)
+    expect = reference_decode(values, t, width, height)
+    assert (expect == 0).any() and (expect == 1).any()  # both clamps are exercised
+    assert img.data.tobytes() == expect.tobytes()
+    write_pnm(img, tmp_path / "d.pnm")
+    header = b"P%d\n%d %d\n255\n" % (5 if c == 1 else 6, width, height)
+    assert (tmp_path / "d.pnm").read_bytes() == header + reference_pixels(expect)
+
+
+@pytest.mark.parametrize("c", [1, 3])
+def test_pnm_bytes_match_the_fresh_array_formula_at_ties_and_out_of_range(tmp_path, c):
+    rng = np.random.default_rng(11)
+    k = rng.integers(-3, 259, size=(300, 70, c))
+    # k + 0.5 over 255 is a rounding tie when multiplied back, for most k
+    data = np.where(rng.random(k.shape) < 0.5, (k + 0.5) / 255.0, rng.uniform(-0.5, 1.5, k.shape))
+    assert ((data * 255.0) % 1 == 0.5).sum() > 1000
+    write_pnm(ImageBuffer.from_array(data), tmp_path / "t.pnm")
+    raw = (tmp_path / "t.pnm").read_bytes()
+    assert raw[-data.size :] == reference_pixels(data)
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_decode_allocates_one_image_and_pnm_write_under_half_of_one(tmp_path):
+    """Image-sized temporaries are handed back to the OS when freed, so the next
+    image faults them in again; decode's only one is the image it returns."""
+    rng = np.random.default_rng(12)
+    t = PcaTransform(16, 1, rng.uniform(0, 1, 256), np.linalg.qr(rng.standard_normal((256, 8)))[0].T)
+    values = rng.standard_normal((256, 8))
+    image_bytes = 256 * 256 * 8
+    assert _traced_peak(decode, values, t, 256, 256) <= 1.5 * image_bytes
+    img = decode(values, t, 256, 256)
+    assert _traced_peak(write_pnm, img, tmp_path / "d.pgm") < 0.5 * image_bytes
+
+
+def test_decode_of_a_geometry_the_patches_do_not_tile_is_non_divisible():
+    rng = np.random.default_rng(13)
+    t = PcaTransform(16, 1, np.zeros(256), rng.standard_normal((8, 256)))
+    # 250 // 16 = 15 patches a side, so 225 tokens pass a count check alone
+    with pytest.raises(NonDivisibleImage):
+        decode(np.zeros((225, 8)), t, 250, 250)
+
+
+def test_malformed_buffers_are_shape_mismatches():
+    with pytest.raises(ShapeMismatch):
+        ImageBuffer(2, 2, 2, np.zeros((2, 2, 2)))
+    with pytest.raises(ShapeMismatch):
+        TokenMatrix(np.zeros(4))
+
+
+@pytest.mark.parametrize("array", [0, 1, 2, 3], ids=["mean", "basis", "decoder", "decoder_mean"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_pca_rejects_non_finite_arrays(tmp_path, array, bad):
+    rng = np.random.default_rng(14)
+    t = PcaTransform(2, 1, rng.uniform(0, 1, 4), rng.standard_normal((2, 4)),
+                     rng.standard_normal((2, 4)), rng.uniform(0, 1, 4))
+    [t.mean, t.basis, t.decoder, t.decoder_mean][array].flat[1] = bad
+    save_pca(t, tmp_path / "t.pca")
+    with pytest.raises(RangeViolation):
+        load_pca(tmp_path / "t.pca")

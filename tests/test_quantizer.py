@@ -565,3 +565,15 @@ def test_derived_group_quantizes_like_shared():
     si, st_ = quantize_group(tokens, TokenSpecificGroup([cb] * 5))
     assert np.array_equal(gi, si)
     assert gt == pytest.approx(st_)
+
+
+def test_dequantize_rejects_non_finite_codes_it_gathers():
+    rng = np.random.default_rng(15)
+    codes = rng.standard_normal((2, 4, 3, 2))
+    codes[1, 2, 1, 0] = np.nan  # group 1, token 2, code 1
+    codes[0, 0, 0, 1] = np.inf  # gathered by no stream below
+    pool = CodebookPool(codes, frozen=True)
+    assert np.array_equal(dequantize(QuantizedImage(1, [0, 1, 2, 0]), pool), codes[1, np.arange(4), [0, 1, 2, 0]])
+    assert np.isfinite(dequantize(QuantizedImage(0, [1, 1, 1, 1]), pool)).all()
+    with pytest.raises(RangeViolation):
+        dequantize(QuantizedImage(1, [0, 0, 1, 0]), pool)
