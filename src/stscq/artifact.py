@@ -66,8 +66,8 @@ def write(path, magic: bytes, fmt: str, fields: dict[str, int], arrays) -> None:
 def read(path, magic: bytes, fmt: str, versions, shapes, mapped=None) -> tuple[tuple[int, ...], list[np.ndarray]]:
     """(header fields, arrays); `shapes(*fields)` gives the array shapes and may raise
     for a field value its format does not define. The arrays are views of one aligned
-    buffer read whole or, when `mapped(*fields)` is true, read-only views of a
-    read-only map of the file, made after every check has passed."""
+    buffer read whole, which must be finite, or, when `mapped(*fields)` is true, views
+    of a read-only map made after every check has passed, not scanned: that would read it all."""
     with open(path, "rb") as f:
         fields = unpack_header(f.read(len(magic) + struct.calcsize(fmt)), magic, fmt, versions)
         dims = shapes(*fields)
@@ -84,6 +84,8 @@ def read(path, magic: bytes, fmt: str, versions, shapes, mapped=None) -> tuple[t
             flat = np.frombuffer(buf, dtype=_F8, count=sum(sizes), offset=f.tell())
         else:
             flat = np.fromfile(f, dtype=_F8, count=sum(sizes))
+            if not np.isfinite(flat).all():
+                raise RangeViolation(f"{path} holds non-finite values")
     # slices, not np.split, whose overhead is a visible share of loading a small file
     ends = itertools.accumulate(sizes)
     return fields, [flat[e - n : e].reshape(s) for e, n, s in zip(ends, sizes, dims)]

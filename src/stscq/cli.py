@@ -7,7 +7,6 @@ STSCQ_SEED is the global seed fallback when no --seed is given.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -37,7 +36,10 @@ def _build_spec(cls, raw, args):
     field and not None wins; STSCQ_SEED fills a missing seed."""
     overrides = {f.name: getattr(args, f.name) for f in fields(cls) if getattr(args, f.name, None) is not None}
     if isinstance(raw, dict) and "seed" not in raw:
-        overrides.setdefault("seed", int(os.environ.get("STSCQ_SEED", "0")))
+        try:
+            overrides.setdefault("seed", int(os.environ.get("STSCQ_SEED", "0")))
+        except ValueError:
+            raise BadSpec(f"STSCQ_SEED must be an integer, not {os.environ['STSCQ_SEED']!r}") from None
     return synth.build_spec(cls, raw, overrides)
 
 
@@ -54,7 +56,8 @@ def _load_corpus(path, make_pca):
 
 def _training_corpus(args):
     """The TrainConfig and the corpus of train and sweep; a manifest's PCA is fitted at the config's d."""
-    cfg = _build_spec(TrainConfig, json.loads(Path(args.config).read_text()) if args.config else {}, args)
+    raw = synth.parse_json(Path(args.config).read_bytes(), args.config) if args.config else {}
+    cfg = _build_spec(TrainConfig, raw, args)
     corpus = _load_corpus(args.data, lambda images, spec: fit_pca(images, spec.patch_size, cfg.d, seed=cfg.seed))
     if corpus[0].shape[1:] != (cfg.T, cfg.d):
         raise BadSpec(f"data tokens are {corpus[0].shape[1:]} but config says (T={cfg.T}, d={cfg.d})")
@@ -122,8 +125,8 @@ def _check_geometry(header: bitstream.StreamHeader, pca, source) -> None:
 def cmd_encode(args) -> int:
     if args.image and not args.pca:
         raise BadSpec("--image needs --pca")
-    if args.tokens and (args.width is None or args.height is None):
-        raise BadSpec("--tokens needs the image geometry: give --width and --height")
+    if args.tokens and not (args.width and args.height):  # a 0-pixel image has no bits per pixel
+        raise BadSpec("--tokens needs the image geometry: give a nonzero --width and --height")
     pool = load_pool(args.pool)
     router = load_router(args.router) if args.router else None
     pca = load_pca(args.pca) if args.pca else None
@@ -189,7 +192,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg, (tokens, _, pca, images) = _training_corpus(args)
     points = []
-    for M in [int(x) for x in args.m_values.split(",")]:
+    for M in args.m_values:
         mcfg = replace(cfg, M=M)
         report = TrainReport()
         pool, router = stage1(tokens, mcfg, report=report)
@@ -265,8 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", required=True)
     pv.set_defaults(func=cmd_eval)
 
+    def group_counts(text: str) -> list[int]:  # argparse names this type function when int() refuses a count
+        return [int(x) for x in text.split(",")]
+
     pw = sub.add_parser("sweep", parents=[training], help="train and evaluate across group counts")
-    pw.add_argument("--m-values", default="1,2,4,8,16")
+    pw.add_argument("--m-values", type=group_counts, default="1,2,4,8,16")
     pw.add_argument("--out", required=True)
     pw.set_defaults(func=cmd_sweep)
 
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BadSpec, ValueError) as e:
+    except BadSpec as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceDetected as e:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifact
-from .errors import HeaderMismatch, TooFewSamples
+from .errors import HeaderMismatch, RangeViolation, ShapeMismatch, TooFewSamples
 
 POOL_MAGIC = b"STSCQPOOL"
 POOL_VERSION = 1
@@ -32,7 +32,7 @@ _POOL_FLAGS = {state: flag for flag, state in _POOL_STATES.items()}
 def bit_width(n: int) -> int:
     """ceil(log2 n) for n >= 1; 0 when a single choice needs no bits."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise RangeViolation(f"bit_width needs n >= 1, got {n}")
     return (n - 1).bit_length()
 
 
@@ -43,7 +43,7 @@ class Codebook:
     def __post_init__(self):
         self.codes = np.asarray(self.codes, dtype=np.float64)
         if self.codes.ndim != 2 or self.codes.shape[0] < 1:
-            raise ValueError("codes must be a (K, d) array with K >= 1")
+            raise ShapeMismatch(f"codes must be a (K, d) array with K >= 1, got {self.codes.shape}")
 
     @property
     def K(self) -> int:
@@ -57,7 +57,7 @@ class Codebook:
 def _check_codes(codes: np.ndarray, ndim: int, T: int) -> np.ndarray:
     codes = np.asarray(codes, dtype=np.float64)
     if codes.ndim != ndim or 0 in codes.shape or codes.shape[-3] not in (1, T):
-        raise ValueError(f"codes must be a non-empty {ndim}-d array with T' in (1, {T}), got {codes.shape}")
+        raise ShapeMismatch(f"codes must be a non-empty {ndim}-d array with T' in (1, {T}), got {codes.shape}")
     return codes
 
 
@@ -71,7 +71,7 @@ class TokenSpecificGroup:
     def __init__(self, codes, T: int | None = None):
         if isinstance(codes, list):
             if not codes:
-                raise ValueError("group needs at least one sub-codebook")
+                raise ShapeMismatch("group needs at least one sub-codebook")
             first, T = codes[0], len(codes)
             shared = all(cb is first for cb in codes)
             codes = first.codes[None] if shared else np.stack([cb.codes for cb in codes])
@@ -114,10 +114,10 @@ class CodebookPool:
     def __init__(self, codes, frozen: bool = False, T: int | None = None):
         if isinstance(codes, list):
             if not codes:
-                raise ValueError("pool needs at least one group")
+                raise ShapeMismatch("pool needs at least one group")
             g0 = codes[0]
             if any((g.T, g.K, g.d) != (g0.T, g0.K, g0.d) for g in codes):
-                raise ValueError("groups must share (T, K, d)")
+                raise ShapeMismatch("groups must share (T, K, d)")
             groups, T = codes, g0.T
             codes = np.empty((len(groups), 1 if all(g.token_shared for g in groups) else T, g0.K, g0.d))
             for m, g in enumerate(groups):
@@ -225,7 +225,7 @@ def utilization(assignments: np.ndarray, K: int) -> UtilizationStats:
     """Per-token distinct-usage percentages from (T, K) index histograms."""
     hist = np.asarray(assignments)
     if hist.ndim != 2 or hist.shape[1] != K:
-        raise ValueError(f"expected (T, {K}) histograms, got {hist.shape}")
+        raise ShapeMismatch(f"expected (T, {K}) histograms, got {hist.shape}")
     rates = (hist > 0).sum(axis=1) / K * 100.0
     return UtilizationStats(rates)
 

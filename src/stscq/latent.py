@@ -242,11 +242,16 @@ def write_pnm(img: ImageBuffer, path) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
     pixels = np.empty(img.data.shape, dtype=np.uint8)
     rows = max(1, _BAND_BYTES // max(1, img.data[:1].nbytes))
-    for r0 in range(0, img.height, rows):
-        band = img.data[r0 : r0 + rows] * 255.0
-        np.rint(band, out=band)
-        np.clip(band, 0, 255, out=band)
-        pixels[r0 : r0 + rows] = band
+    # a NaN has no pixel value: its cast to uint8 is the one invalid operation here
+    with np.errstate(invalid="raise"):
+        try:
+            for r0 in range(0, img.height, rows):
+                band = img.data[r0 : r0 + rows] * 255.0
+                np.rint(band, out=band)
+                np.clip(band, 0, 255, out=band)
+                pixels[r0 : r0 + rows] = band
+        except FloatingPointError:
+            raise RangeViolation("the image holds NaN pixels") from None
     with open(path, "wb") as f:
         f.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
         f.write(pixels)
@@ -275,6 +280,4 @@ def load_pca(path) -> PcaTransform:
     (_, patch_size, channels, _), arrays = artifact.read(
         path, PCA_MAGIC, _PCA_HEADER, (PCA_VERSION_ENC, PCA_VERSION_DEC), _pca_shapes
     )
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise RangeViolation(f"pca file {path} holds non-finite values")
     return PcaTransform(patch_size, channels, *arrays)

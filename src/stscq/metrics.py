@@ -14,7 +14,7 @@ from .bitstream import bpp
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup, UtilizationStats, index_histograms, utilization
 from .errors import EmptyCorpus, LengthMismatch
 from .latent import ImageBuffer, PcaTransform, decode, encode
-from .quantizer import codes_at, quantize_corpus
+from .quantizer import _token_corpus, codes_at, quantize_corpus
 
 
 @dataclass
@@ -75,11 +75,12 @@ def eval_rd_tokens(
     Given the images the tokens were encoded from and their PCA, the point also
     has pixel MSE and PSNR, and its bpp is at the images' own geometry.
     """
-    if len(corpus) == 0:
+    values = _token_corpus(corpus, pool)
+    if len(values) == 0:
         raise EmptyCorpus("a rate-distortion point needs at least one token matrix")
-    groups, indices, _ = quantize_corpus(corpus, pool, policy=policy, router=router)
+    groups, indices, _ = quantize_corpus(values, pool, policy=policy, router=router)
     z_q = codes_at(pool, groups, indices)
-    latent_sq = sum(float(((values - z) ** 2).sum()) for values, z in zip(corpus, z_q))
+    latent_sq = sum(float(((v - z) ** 2).sum()) for v, z in zip(values, z_q))
     pixel_mse = psnr = None
     if images is not None:
         width, height = images[-1].width, images[-1].height
@@ -97,8 +98,8 @@ def routing_histogram(groups, M: int, labels=None) -> dict[str, RoutingHistogram
     groups = np.asarray(groups, dtype=np.intp)
     if labels is None:
         labels = ["all"] * len(groups)
-    if len(labels) != len(groups):
-        raise LengthMismatch(f"{len(labels)} labels for {len(groups)} token matrices")
+    if np.shape(labels)[:1] != groups.shape:  # a 0-d array of labels has no len()
+        raise LengthMismatch(f"labels of shape {np.shape(labels)} for {len(groups)} token matrices")
     names, label_of = np.unique(np.array([str(l) for l in labels], dtype=str), return_inverse=True)
     counts = np.bincount(label_of * M + groups, minlength=len(names) * M).reshape(-1, M)
     return {lab: RoutingHistogram(counts=c.tolist(), attribute_label=lab) for lab, c in zip(names.tolist(), counts)}

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup
-from .errors import DimensionMismatch, HeaderMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch, UntrainedRouter
+from .errors import (BadSpec, DimensionMismatch, HeaderMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch,
+                     UntrainedRouter)
 
 # cap on each of search()'s temporaries, and on quantize_corpus()'s (B, M, T)
 # search results: an unsliced difference is 256 MiB per image at
@@ -56,29 +57,24 @@ class QuantizedImage:
         self.indices = np.asarray(self.indices, dtype=np.int64)
 
 
-def _tokens_2d(tokens) -> np.ndarray:
-    values = getattr(tokens, "values", tokens)
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ShapeMismatch(f"expected (T, d) tokens, got shape {values.shape}")
+def _tokens(x, shape) -> np.ndarray:
+    """float64 tokens of `shape` (None: any length) and a real dtype, or ShapeMismatch; finite, or RangeViolation."""
+    values = np.asarray(getattr(x, "values", x))
+    if values.dtype.kind not in "biuf" or len(values.shape) != len(shape) or any(
+            n not in (None, v) for n, v in zip(shape, values.shape)):
+        raise ShapeMismatch(f"expected real tokens of shape {shape}, got {values.dtype} of shape {values.shape}")
+    values = values.astype(np.float64, copy=False)
     if not np.isfinite(values).all():
         raise RangeViolation("tokens must be finite")
     return values
 
 
 def _token_corpus(corpus, pool: CodebookPool) -> np.ndarray:
-    """(N, T, d) float64 array of a corpus of token matrices, checked like _tokens_2d."""
-    if not isinstance(corpus, np.ndarray):
-        corpus = [np.asarray(getattr(t, "values", t)) for t in corpus]
-        if any(t.shape != (pool.T, pool.d) for t in corpus):
-            raise ShapeMismatch(f"token matrices must be (T={pool.T}, d={pool.d})")
-        corpus = np.stack(corpus) if corpus else np.empty((0, pool.T, pool.d))
-    values = np.asarray(corpus, dtype=np.float64)
-    if values.shape[1:] != (pool.T, pool.d):
-        raise ShapeMismatch(f"expected (N, T={pool.T}, d={pool.d}) tokens, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise RangeViolation("tokens must be finite")
-    return values
+    """(N, T, d) float64 array of N token matrices; a list's are checked one by one: ragged ones do not stack."""
+    if isinstance(corpus, np.ndarray):
+        return _tokens(corpus, (None, pool.T, pool.d))
+    values = [_tokens(t, (pool.T, pool.d)) for t in corpus]
+    return np.stack(values) if values else np.empty((0, pool.T, pool.d))
 
 
 def quantize_one(z: np.ndarray, cb: Codebook) -> tuple[int, float]:
@@ -228,11 +224,7 @@ def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarra
 
 def quantize_group(tokens, g: TokenSpecificGroup) -> tuple[np.ndarray, float]:
     """Per-token nearest-neighbor indices and the summed squared error."""
-    values = _tokens_2d(tokens)
-    if values.shape[0] != g.T:
-        raise ShapeMismatch(f"{values.shape[0]} tokens vs group T={g.T}")
-    if values.shape[1] != g.d:
-        raise ShapeMismatch(f"token dim {values.shape[1]} vs codebook dim {g.d}")
+    values = _tokens(tokens, (g.T, g.d))
     indices, errors = search(values[None], g.codes[None])
     return indices[0, 0].astype(np.int64), float(errors[0, 0].sum())
 
@@ -252,14 +244,13 @@ def quantize_routed(tokens, pool: CodebookPool, policy: str = "nn", router=None)
     whether or not a router exists. Any other policy is quantize_corpus over
     one image, which checks the policy and the router against the pool.
     """
-    values = _tokens_2d(tokens)
     if policy.lower() != "nn":
-        groups, indices, _ = quantize_corpus(values[None], pool, policy, router)
+        groups, indices, _ = quantize_corpus([tokens], pool, policy, router)
         return QuantizedImage(group_index=int(groups[0]), indices=indices[0])
     from .router import route_naive
 
-    gi = route_naive(values, pool)
-    indices, _ = quantize_group(values, TokenSpecificGroup(pool.codes[gi], pool.T))
+    gi = route_naive(tokens, pool)
+    indices, _ = quantize_group(tokens, TokenSpecificGroup(pool.codes[gi], pool.T))
     return QuantizedImage(group_index=gi, indices=indices)
 
 
@@ -284,21 +275,23 @@ def quantize_corpus(corpus, pool: CodebookPool, policy: str = "nn", router=None)
             totals = err.sum(axis=2)
             g = totals.argmin(axis=1)
             rows = np.arange(len(g))
+            if not np.isfinite(totals[rows, g]).all():  # argmin takes the first NaN
+                raise RangeViolation("the nearest group's error is not finite: a code is non-finite or overflows")
             groups[s : s + step], indices[s : s + step], errors[s : s + step] = g, idx[rows, g], totals[rows, g]
     elif policy == "cr":
         if router is None:
             raise UntrainedRouter("CR policy requires trained router parameters")
         if router.M != pool.M:
             raise HeaderMismatch(f"the router scores M={router.M} groups, the pool has M={pool.M}")
-        from .router import router_probs
+        from .router import _finite_probs
 
-        groups = router_probs(values.mean(axis=1), router).argmax(axis=1)
+        groups = _finite_probs(values.mean(axis=1), router).argmax(axis=1)
         for m in np.unique(groups):
             rows = np.flatnonzero(groups == m)
             idx, err = search(values[rows], pool.codes[m : m + 1])
             indices[rows], errors[rows] = idx[:, 0], err[:, 0].sum(axis=1)
     else:
-        raise ValueError(f"unknown policy {policy!r}")
+        raise BadSpec(f"unknown policy {policy!r}")
     return groups, indices, errors
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import artifact
 from .codebook import CodebookPool
-from .errors import DimensionMismatch, EmptyBatch, LengthMismatch, RangeViolation, ShapeMismatch
-from .quantizer import _tokens_2d, group_errors
+from .errors import DimensionMismatch, EmptyBatch, LengthMismatch, RangeViolation
+from .quantizer import _tokens, group_errors
 
 ROUTER_MAGIC = b"STSCQRTR"
 ROUTER_VERSION = 1
@@ -57,13 +57,6 @@ def init_router(d: int, M: int, h: int = 64, seed: int = 0) -> RouterParams:
     )
 
 
-def _pool_tokens(tokens) -> np.ndarray:
-    values = np.asarray(getattr(tokens, "values", tokens), dtype=np.float64)
-    if values.ndim == 2:
-        return values.mean(axis=0)
-    return values  # already pooled
-
-
 def _forward(x: np.ndarray, p: RouterParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The scorer's pre-activation, hidden layer and softmax probabilities for pooled x."""
     x = np.asarray(x, dtype=np.float64)
@@ -81,21 +74,26 @@ def router_probs(x: np.ndarray, p: RouterParams) -> np.ndarray:
     return _forward(x, p)[2]
 
 
+def _finite_probs(x: np.ndarray, p: RouterParams) -> np.ndarray:
+    """router_probs for choosing groups; RangeViolation for a non-finite probability."""
+    probs = router_probs(x, p)
+    if not np.isfinite(probs).all():
+        raise RangeViolation("the router's probabilities are not finite: a weight is non-finite or overflows")
+    return probs
+
+
 def route_naive(tokens, pool: CodebookPool) -> int:
     """argmin over groups of total quantization error; ties to lowest index."""
-    values = _tokens_2d(tokens)
-    if values.shape != (pool.T, pool.d):
-        raise ShapeMismatch(f"tokens {values.shape} vs pool (T={pool.T}, d={pool.d})")
-    errs = group_errors(values, pool)[0]
-    return int(errs.argmin())
+    errs = group_errors(_tokens(tokens, (pool.T, pool.d)), pool)[0]
+    gi = int(errs.argmin())  # the first NaN, if there is one
+    if not np.isfinite(errs[gi]):
+        raise RangeViolation(f"group {gi}'s error is not finite: a code is non-finite or overflows")
+    return gi
 
 
 def route_learned(tokens, p: RouterParams) -> tuple[int, np.ndarray]:
-    """argmax of the scorer's distribution; returns (group_index, probs)."""
-    x = _pool_tokens(tokens)
-    if not np.isfinite(x).all():
-        raise RangeViolation("tokens must be finite")
-    probs = router_probs(x, p)
+    """argmax of the scorer's distribution over a (T, d) token matrix; returns (group_index, probs)."""
+    probs = _finite_probs(_tokens(tokens, (None, p.d)).mean(axis=0), p)
     return int(probs.argmax()), probs
 
 

@@ -13,8 +13,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadSpec, LengthMismatch, StscqError
+from .errors import BadSpec, EmptyCorpus, LengthMismatch, ShapeMismatch, StscqError
 from .latent import ImageBuffer, write_pnm
+
+
+def parse_json(raw: bytes | str, source):
+    """The JSON value of `raw`; BadSpec naming `source` for what json.loads refuses or cannot nest."""
+    try:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as e:
+        raise BadSpec(f"{source} is not JSON: {e}") from None
 
 
 def build_spec(cls, raw, overrides=None):
@@ -51,8 +59,8 @@ class MixtureSpec:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.clusters < 1 or self.T < 1 or self.d < 1 or self.samples < 1:
-            raise BadSpec("counts must be >= 1")
+        if min(self.clusters, self.T, self.d, self.samples) < 1 or self.seed < 0:
+            raise BadSpec("counts must be >= 1 and the seed >= 0")
         if not (math.isfinite(self.sigma) and math.isfinite(self.separation)):
             raise BadSpec("separation and sigma must be finite")
         if self.sigma < 0 or self.separation < 0:
@@ -107,7 +115,7 @@ def load_token_corpus(path) -> tuple[np.ndarray, np.ndarray, np.ndarray, Mixture
     missing = {"tokens", "labels", "means", "spec"} - set(z if isinstance(z, dict) else ())
     if missing:
         raise BadSpec(f"{path} has no {sorted(missing)}")
-    spec = build_spec(MixtureSpec, json.loads(str(z["spec"])))
+    spec = build_spec(MixtureSpec, parse_json(str(z["spec"]), f"the spec in {path}"))
     return z["tokens"], z["labels"], z["means"], spec
 
 
@@ -123,12 +131,12 @@ class ImageCorpusSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        if min(self.clusters, self.samples, self.width, self.height, self.patch_size) < 1 or self.seed < 0:
+            raise BadSpec("counts and sizes must be >= 1 and the seed >= 0")
         if self.width % self.patch_size or self.height % self.patch_size:
             raise BadSpec("image size must be divisible by patch size")
         if self.channels not in (1, 3):
             raise BadSpec("channels must be 1 or 3")
-        if self.clusters < 1 or self.samples < 1:
-            raise BadSpec("counts must be >= 1")
         if not math.isfinite(self.sigma):
             raise BadSpec("sigma must be finite")
 
@@ -175,12 +183,16 @@ def load_image_corpus(manifest_path) -> tuple[list[ImageBuffer], np.ndarray, Ima
     from .latent import read_pnm
 
     manifest_path = Path(manifest_path)
-    meta = json.loads(manifest_path.read_text())
+    meta = parse_json(manifest_path.read_bytes(), manifest_path)
     if not isinstance(meta, dict) or "spec" not in meta or not isinstance(meta.get("images"), list):
         raise BadSpec(f"{manifest_path} must be a JSON object with a spec and an images list")
     spec = build_spec(ImageCorpusSpec, meta["spec"])
-    if not all(isinstance(e, dict) and "file" in e and "label" in e for e in meta["images"]):
-        raise BadSpec(f"every image entry in {manifest_path} needs a file and a label")
+    if not all(isinstance(e, dict) and type(e.get("file")) is str and type(e.get("label")) in (int, str)
+               for e in meta["images"]):
+        raise BadSpec(f"every image entry in {manifest_path} needs a file name and an int or str label")
+    if not meta["images"]:
+        raise EmptyCorpus(f"{manifest_path} lists no images")
     images = [read_pnm(manifest_path.parent / e["file"]) for e in meta["images"]]
-    labels = np.array([e["label"] for e in meta["images"]])
-    return images, labels, spec
+    if any((img.width, img.height, img.channels) != (spec.width, spec.height, spec.channels) for img in images):
+        raise ShapeMismatch(f"{manifest_path} lists an image whose geometry is not its spec's")
+    return images, np.array([e["label"] for e in meta["images"]]), spec

@@ -11,15 +11,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .codebook import CodebookPool, init_kmeanspp
-from .errors import DivergenceDetected, HeaderMismatch, RangeViolation, StageOrderError, TooFewSamples
+from .errors import BadSpec, DivergenceDetected, HeaderMismatch, StageOrderError, TooFewSamples
 from .latent import PcaTransform, encode, image_patches
 from .metrics import corpus_utilization
-from .quantizer import codes_at, quantize_corpus, search
+from .quantizer import _tokens, codes_at, quantize_corpus, search
 from .router import RouterParams, init_router, router_loss_and_grads, router_probs
 
 _GRAD_CLIP = 1e3
@@ -47,15 +47,15 @@ class TrainConfig:
     def validate(self) -> None:
         for name in ("M", "K", "T", "d", "batch_size", "hidden", "dead_code_epochs"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("steps_stage1", "steps_stage2", "router_warmup"):
+                raise BadSpec(f"{name} must be >= 1")
+        for name in ("steps_stage1", "steps_stage2", "router_warmup", "seed"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise BadSpec(f"{name} must be >= 0")
         for name in ("lam1", "lam2", "learning_rate"):
             if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+                raise BadSpec(f"{name} must be finite")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise BadSpec("learning_rate must be positive")
 
 
 @dataclass
@@ -66,15 +66,7 @@ class TrainReport:
     wall_clock: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "loss_curves": self.loss_curves,
-                "utilization_summary": self.utilization_summary,
-                "routing_histogram": self.routing_histogram,
-                "wall_clock": self.wall_clock,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
 
 def _cosine_lr(base: float, step: int, total: int) -> float:
@@ -191,13 +183,6 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
     return codes, curve
 
 
-def _training_tokens(data) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(data).all():
-        raise RangeViolation("training tokens must be finite")
-    return data
-
-
 def stage1(
     data: np.ndarray,
     cfg: TrainConfig,
@@ -206,7 +191,7 @@ def stage1(
 ) -> tuple[CodebookPool, RouterParams]:
     """Train token-shared switchable codebooks jointly with the router."""
     cfg.validate()
-    data = _training_tokens(data)
+    data = _tokens(data, (None, cfg.T, cfg.d))
     if pool is None:
         pool = init_stage1_pool(data, cfg)
     router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
@@ -237,7 +222,7 @@ def stage2(
                                  f"the config says {name}={getattr(cfg, name)}")
     if router.M != shared_pool.M:
         raise HeaderMismatch(f"the router scores M={router.M} groups, the pool has M={shared_pool.M}")
-    data = _training_tokens(data)
+    data = _tokens(data, (None, cfg.T, cfg.d))
     router = router.copy()
     start = time.perf_counter()
     codes, curve = _refine(data, np.broadcast_to(shared_pool.codes, (cfg.M, cfg.T, cfg.K, cfg.d)), router,

@@ -162,3 +162,29 @@ def test_token_shared_pool_codes_are_an_owned_aligned_array(tmp_path, frozen):
     codes = load_pool(path).codes
     assert codes.flags.owndata and codes.flags.aligned and codes.flags.writeable
     assert np.array_equal(codes, shared)
+
+
+@pytest.mark.parametrize("kind", ["rtr", "shared-pool"])
+def test_arrays_read_whole_must_be_finite(tmp_path, kind):
+    # a NaN router weight used to route every image silently to group 0
+    path = tmp_path / kind
+    if kind == "rtr":
+        router = init_router(d=2, M=3, h=4)
+        router.W1[1, 0] = np.nan
+        save_router(router, path)
+        load = load_router
+    else:
+        codes = np.random.default_rng(6).standard_normal((2, 1, 4, 2))
+        codes[1, 0, 2, 1] = np.inf
+        save_pool(CodebookPool(codes, T=3), path)
+        load = load_pool
+    with pytest.raises(RangeViolation, match="non-finite"):
+        load(path)
+
+
+def test_a_mapped_pool_is_not_scanned_for_non_finite_codes(tmp_path):
+    # scanning a map reads all of it; the codes a decode or search uses are checked there
+    codes = np.random.default_rng(7).standard_normal((2, 3, 4, 2))
+    codes[0, 1, 2, 0] = np.nan
+    save_pool(CodebookPool(codes, frozen=True), tmp_path / "p.pool")
+    assert np.isnan(load_pool(tmp_path / "p.pool").codes[0, 1, 2, 0])

@@ -296,8 +296,10 @@ def test_encode_tokens_takes_the_given_geometry(t16_files, capsys, channels):
     assert (img.width, img.height, img.channels) == (16, 16, channels)
 
 
-@pytest.mark.parametrize("geometry", [["--height", 16], ["--width", 16], []], ids=["no-width", "no-height", "neither"])
+@pytest.mark.parametrize("geometry", [["--height", 16], ["--width", 16], [], ["--width", 0, "--height", 16]],
+                         ids=["no-width", "no-height", "neither", "zero-width"])
 def test_encode_tokens_without_geometry_is_config_error(t16_files, capsys, geometry):
+    # a zero width wrote the stream, then bpp's ZeroDivisionError escaped main
     d = t16_files
     rc = run("encode", "--tokens", d / "t.npy", "--pool", d / "p.pool", "--out", d / "t.stscq", *geometry)
     assert rc == 2

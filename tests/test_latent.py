@@ -366,3 +366,13 @@ def test_load_pca_rejects_non_finite_arrays(tmp_path, array, bad):
     save_pca(t, tmp_path / "t.pca")
     with pytest.raises(RangeViolation):
         load_pca(tmp_path / "t.pca")
+
+
+def test_write_pnm_refuses_nan_pixels_and_writes_nothing(tmp_path):
+    # a NaN was cast to pixel 0x00 with only a RuntimeWarning
+    with pytest.raises(RangeViolation, match="NaN"):
+        write_pnm(ImageBuffer.from_array(np.array([[np.nan, 0.5]])), tmp_path / "n.pgm")
+    assert not (tmp_path / "n.pgm").exists()
+    # infinities still clip to the ends of the range
+    write_pnm(ImageBuffer.from_array(np.array([[np.inf, -np.inf, 0.5]])), tmp_path / "i.pgm")
+    assert (tmp_path / "i.pgm").read_bytes().endswith(b"\xff\x00\x80")

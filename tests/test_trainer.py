@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stscq.codebook import load_pool, save_pool
-from stscq.errors import DivergenceDetected, HeaderMismatch, RangeViolation, StageOrderError, TooFewSamples
+from stscq.errors import BadSpec, DivergenceDetected, HeaderMismatch, RangeViolation, StageOrderError, TooFewSamples
 from stscq.latent import ImageBuffer, encode, fit_pca, image_patches
 from stscq.quantizer import dequantize, group_errors, quantize_routed
 from stscq.router import init_router
@@ -177,16 +177,16 @@ def test_init_stage1_pool_needs_enough_samples_to_top_up_a_thin_shard():
 def test_config_rejects_out_of_range_counts(mixture, name, value):
     # dead_code_epochs=0 marked every code dead and re-seeded it each epoch
     cfg = small_cfg(**{name: value})
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(BadSpec, match=name):
         cfg.validate()
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(BadSpec, match=name):
         stage1(mixture[0], cfg)
 
 
 @pytest.mark.parametrize("name", ["lam1", "lam2", "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite_weights(name, value):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(BadSpec, match=name):
         small_cfg(**{name: value}).validate()
 
 
