@@ -193,16 +193,17 @@ def init_kmeanspp(samples: np.ndarray, K: int, seed: int) -> Codebook:
         centers[k] = samples[np.searchsorted(np.cumsum(d2 / total), rng.random())]
         d2 = np.minimum(d2, ((samples - centers[k]) ** 2).sum(axis=1))
 
+    d = samples.shape[1]
     for _ in range(10):
         assign = search(samples[:, None], centers[None, None])[0][:, 0, 0]
-        for k in range(K):
-            mask = assign == k
-            if mask.any():
-                centers[k] = samples[mask].mean(axis=0)
-            else:
-                centers[k] = samples[rng.integers(n)] + 1e-3 * rng.standard_normal(
-                    samples.shape[1]
-                )
+        # each centre's sum adds its samples in order, as a sum over axis 0 of
+        # its rows does, so every mean has the bits of samples[mask].mean(axis=0)
+        counts = np.bincount(assign, minlength=K)
+        sums = np.bincount((assign[:, None] * d + np.arange(d)).ravel(), weights=samples.ravel(), minlength=K * d)
+        full = counts > 0
+        centers[full] = sums.reshape(K, d)[full] / counts[full, None]
+        for k in np.flatnonzero(~full):  # an empty centre draws a new start, in k order
+            centers[k] = samples[rng.integers(n)] + 1e-3 * rng.standard_normal(d)
     return Codebook(centers)
 
 

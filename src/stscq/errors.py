@@ -21,7 +21,7 @@ class ShapeMismatch(StscqError):
     pass
 
 
-class DimensionMismatch(StscqError):
+class DimensionMismatch(ShapeMismatch):
     pass
 
 

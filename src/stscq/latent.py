@@ -20,6 +20,7 @@ from .errors import (
     DimensionTooLarge,
     EmptyCorpus,
     HeaderMismatch,
+    LengthMismatch,
     NonDivisibleImage,
     RangeViolation,
     ShapeMismatch,
@@ -160,7 +161,26 @@ def fit_pca(corpus, patch_size: int, d: int, seed: int = 0) -> PcaTransform:
 
 def encode(img: ImageBuffer, t: PcaTransform) -> TokenMatrix:
     """Project each centered patch onto the basis; one token per patch."""
-    patches = image_patches(img, t.patch_size)
+    return TokenMatrix(_project(image_patches(img, t.patch_size), t))
+
+
+def encode_corpus(images: list[ImageBuffer], t: PcaTransform) -> tuple[np.ndarray, np.ndarray]:
+    """(N, T, d) tokens and (N·T, p) patches of N images of one size.
+
+    One projection of every patch gives each token the bits encode gives it:
+    the einsum sums each token's products in the same order however many rows
+    it projects.
+    """
+    patches = [image_patches(img, t.patch_size) for img in images]
+    if not patches:
+        raise EmptyCorpus("no images to encode")
+    if len({p.shape for p in patches}) > 1:
+        raise ShapeMismatch("the images of a corpus must share one size")
+    flat = np.concatenate(patches)
+    return _project(flat, t).reshape(len(patches), -1, t.d), flat
+
+
+def _project(patches: np.ndarray, t: PcaTransform) -> np.ndarray:
     if patches.shape[1] != t.patch_dim:
         raise ShapeMismatch(
             f"patch dim {patches.shape[1]} vs transform dim {t.patch_dim}"
@@ -168,7 +188,7 @@ def encode(img: ImageBuffer, t: PcaTransform) -> TokenMatrix:
     # einsum sums each token's p products in one fixed order, so the tokens are
     # the same bits under every BLAS kernel; a BLAS matmul here would also keep
     # OpenBLAS's helper thread spinning, holding a CPU through the search
-    return TokenMatrix(np.einsum("tp,dp->td", patches - t.mean, t.basis))
+    return np.einsum("tp,dp->td", patches - t.mean, t.basis)
 
 
 def decode(tokens, t: PcaTransform, width: int, height: int) -> ImageBuffer:
@@ -229,6 +249,8 @@ def read_pnm(path) -> ImageBuffer:
     need = width * height * channels
     if len(raw) - start < need:
         raise Truncated("pixel data shorter than header promises")
+    if len(raw) - start > need:
+        raise LengthMismatch(f"{len(raw) - start - need} bytes after the {need} pixel bytes")
     data = np.frombuffer(raw, dtype=np.uint8, count=need, offset=start)
     return ImageBuffer(
         width=width,

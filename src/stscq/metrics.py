@@ -13,7 +13,7 @@ import numpy as np
 from .bitstream import bpp
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup, UtilizationStats, index_histograms, utilization
 from .errors import EmptyCorpus, LengthMismatch
-from .latent import ImageBuffer, PcaTransform, decode, encode
+from .latent import ImageBuffer, PcaTransform, decode, encode_corpus
 from .quantizer import _token_corpus, codes_at, quantize_corpus
 
 
@@ -55,7 +55,7 @@ def eval_rd(
 ) -> RdPoint:
     """Mean latent and pixel distortion over an image corpus plus its bpp."""
     images = list(corpus)
-    tokens = [encode(img, pca).values for img in images]
+    tokens, _ = encode_corpus(images, pca)
     return eval_rd_tokens(tokens, pool, policy=policy, router=router, seed=seed, images=images, pca=pca)
 
 

@@ -6,6 +6,7 @@ index so that encoded streams are deterministic.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -93,16 +94,18 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     per group shared by every token. Ties go to the lowest index, and every
     index and error is the one the difference form Σ(z − c)² gives.
 
-    One image is searched by the difference form alone. For more, each slice
-    of tokens computes ‖c‖² once and screens every image of the batch with one
-    matmul per (group, token): s = ‖c‖² − 2z·c, which is ‖z − c‖² − ‖z‖².
-    Codes with s within a rounding margin of the row's minimum are the
-    candidates. A row with one candidate takes it, with its error from the
-    difference form; a row with several (a tie or a near-tie) or none (a
+    One image is searched by the difference form alone. A batch that shares one
+    codebook across its T tokens (T' = 1) is searched as B·T one-token images,
+    so each group's codes meet every token in one product. Otherwise each slice
+    of tokens screens every image of the batch with s = ‖c‖² − 2z·c, which is
+    ‖z − c‖² − ‖z‖². Codes with s within a rounding margin of the row's minimum
+    are the candidates. A row with one candidate takes it, with its error from
+    the difference form; a row with several (a tie or a near-tie) or none (a
     non-finite value) is searched again by the difference form over all K.
     So the matmul's bits, which vary with the BLAS kernel, only choose
     candidates and never reach an index or an error. Every temporary stays
-    within _CHUNK_BYTES.
+    within _CHUNK_BYTES, but for the small-K copy of the codes with their
+    norms, which takes (d + 1)/d of that.
     """
     B, T, d = batch.shape
     if B == 1:
@@ -112,67 +115,100 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
         indices, errors = _difference_search(batch[0], codes)
         return indices[None], errors[None]
     M, Tc, K, _ = codes.shape
+    if Tc == 1 and T > 1:
+        # C order, as callers sum the errors over T with numpy's pairwise loop
+        found = search(batch.reshape(B * T, 1, d), codes)
+        return tuple(np.ascontiguousarray(a.reshape(B, T, M).transpose(0, 2, 1)) for a in found)
     indices = np.empty((B, M, T), dtype=np.intp)
     errors = np.empty((B, M, T))
-    tally = np.stack([np.ones(K), np.arange(K)])  # counts a row's candidates and sums their indices
+    tally = _tally(K)
     # the largest temporaries: the codes of a slice of tokens, and the screen
-    # values (or the chosen codes' differences) of a slice of (image, token) pairs
+    # values (or the chosen codes' differences) of a slice of (image, token)
+    # pairs; at small K the codes' copy with their norms has d + 1 columns
     nt = max(1, min(T, _CHUNK_BYTES // (8 * M * K * d)))
     nb = max(1, _CHUNK_BYTES // (8 * M * max(K, d) * nt))
     step = max(1, _CHUNK_BYTES // (8 * K * d))  # rows searched again at a time
-    # reduce over K along whichever of K and the images is longer, laid out
-    # innermost: the images at K=16, the codes at K=1024
+    # reduce over K along whichever of K and the images is longer: at K=1024
+    # over each row's contiguous codes; at K=16 over the code axis laid out
+    # outside the groups and images, where one product per token serves every
+    # group and the minimum is taken over whole (group, image) rows
     k_inner = K >= min(B, nb)
-    axis = 3 if k_inner else 2
+    # The screen's error bound. With u = ε/2 and γ_n = nu/(1 − nu), a dot
+    # product of n terms in any order, with or without FMA, is off by at most
+    # γ_n Σ|x_i y_i|. s is the computed ‖c‖² (off by γ_d ‖c‖²) either added to
+    # −2z·c or folded in as the (d+1)-th term of [−2z, 1]·[c, ‖c‖²]; both ways
+    # |s − s*| ≤ γ_{2d+1}(2‖z‖‖c‖ + ‖c‖²) ≤ γ_{2d+1} R² ≤ 2γ_{d+2} R² for any
+    # R ≥ ‖z‖ + ‖c‖. The difference form's distance D is off by at most
+    # γ_{d+2}‖z − c‖² ≤ γ_{d+2} R². If k* is the difference form's argmin and j
+    # the screen's, D_k* ≤ D_j gives s_k* ≤ s_j + 6γ_{d+2} R². The margin
+    # 8(d + 2)ε R² is more than twice that, so k* is always a candidate, and a
+    # row with one candidate has found k*. R is √d times the batch's largest
+    # |z_i|, which is at least any ‖z‖, plus the largest ‖c‖ of the slice; a
+    # non-finite code makes it inf or NaN, and then every row of the slice is
+    # searched again.
+    scale = 8 * (d + 2) * _EPS
+    z_reach = np.sqrt(d) * max(batch.max(initial=0.0), -batch.min(initial=0.0))
     for t in range(0, T, nt):
         # an aligned, contiguous copy when the slice is not one already (a
         # mapped pool's codes sit 5 bytes off alignment), so that matmul and
-        # take read it in place
-        c = np.require(codes[:, t : t + nt] if Tc > 1 else codes, requirements="CA")
+        # take read it in place; T' is T here, or T is 1
+        c = np.require(codes[:, t : t + nt], requirements="CA")
+        nc = c.shape[1]
+        row0 = (np.arange(nc)[:, None] + np.arange(M) * nc)[..., None] * K  # (nt, M, 1): each (token, group)'s first code
         norms = np.einsum("mtkd,mtkd->mtk", c, c)
-        reach = np.sqrt(norms.max(axis=2))[..., None]  # (M, nt', 1): max ‖c‖
-        tc = np.arange(min(nt, T - t)) % c.shape[1]
-        row0 = (np.arange(M)[:, None] * c.shape[1] + tc) * K  # (M, nt): each (group, token)'s first code
+        margin = scale * (np.sqrt(norms.max(initial=0.0)) + z_reach) ** 2
+        if not k_inner:
+            # [c, ‖c‖²] as (token, code, group) rows: one product per token is s
+            aug = np.empty((nc, K, M, d + 1))
+            aug[..., :d] = c.transpose(1, 2, 0, 3)
+            aug[..., d] = norms.transpose(1, 2, 0)
+            aug = aug.reshape(nc, K * M, d + 1)
         for b in range(0, B, nb):
             z = np.ascontiguousarray(batch[b : b + nb, t : t + nt].transpose(1, 0, 2))  # (nt, nb, d)
+            n = z.shape[1]
             # a non-finite code makes inf − inf here; NaN compares false, so
             # its row has no candidate and the difference form searches it again
             with np.errstate(invalid="ignore"):
                 if k_inner:
                     s = (-2 * z) @ c.swapaxes(2, 3)  # (M, nt, nb, K)
                     s += norms[:, :, None]
+                    bound = s.min(axis=3, keepdims=True)
+                    bound += margin
+                    candidates = np.less_equal(s, bound, out=s, casting="unsafe")  # 1.0 or 0.0, in place
+                    # sums of 0s, 1s and indices below K: exact in any order
+                    count, idx = np.moveaxis(candidates @ tally.T, 3, 0).swapaxes(1, 2)  # (nt, M, nb) each
                 else:
-                    s = c @ (-2 * z.transpose(0, 2, 1))  # (M, nt, K, nb)
-                    s += norms[..., None]
-                # The screen's error bound. With u = ε/2 and γ_n = nu/(1 − nu), a dot
-                # product of n terms in any order, with or without FMA, is off by at
-                # most γ_n Σ|x_i y_i|. s adds the computed ‖c‖² to −2z·c, so
-                # |s − s*| ≤ 2γ_{d+1} R² with R = ‖z‖ + max‖c‖. The difference form's
-                # distance D is off by at most γ_{d+2}‖z − c‖² ≤ γ_{d+2} R². If k* is
-                # the difference form's argmin and j the screen's, D_k* ≤ D_j gives
-                # s_k* ≤ s_j + 2(2γ_{d+1} + γ_{d+2}) R² ≤ best + 6γ_{d+2} R². The
-                # margin 8(d + 2)ε R² is more than twice that, so k* is always a
-                # candidate, and a row with one candidate has found k*.
-                margin = 8 * (d + 2) * _EPS * (reach + np.sqrt(np.einsum("tbd,tbd->tb", z, z))) ** 2
-                bound = s.min(axis=axis, keepdims=True) + np.expand_dims(margin, axis)
-                candidates = np.less_equal(s, bound, out=s, casting="unsafe")  # 1.0 or 0.0, in place
-            # sums of 0s, 1s and indices below K: exact in any order
-            tallied = candidates @ tally.T if k_inner else tally @ candidates
-            count, idx = np.moveaxis(tallied, axis, 0).astype(np.intp)  # (M, nt, nb) each
+                    q = np.empty((nc, d + 1, n))  # [−2z, 1] per token
+                    np.multiply(z.transpose(0, 2, 1), -2, out=q[:, :d])
+                    q[:, d] = 1
+                    s = (aug @ q).reshape(nc, K, M * n)
+                    bound = s.min(axis=1, keepdims=True)
+                    bound += margin
+                    candidates = np.less_equal(s, bound, out=s, casting="unsafe")
+                    count, idx = (tally @ candidates).reshape(nc, 2, M, n).swapaxes(0, 1)
+            idx = idx.astype(np.intp)
             # a row with several candidates sums their indices, which may point past
             # its own codes; clip keeps them inside c, and the row is searched again
-            diff = np.take(c.reshape(-1, d), row0[..., None] + idx, axis=0, mode="clip")
-            np.subtract(z, diff, out=diff)
-            err = np.einsum("mtbd,mtbd->mtb", diff, diff)
+            diff = np.take(c.reshape(-1, d), row0 + idx, axis=0, mode="clip")
+            np.subtract(z[:, None], diff, out=diff)
+            err = np.einsum("tmbd,tmbd->tmb", diff, diff)
             retry = np.nonzero(count != 1)
             for r in range(0, len(retry[0]), step):
-                m, tt, bb = (rows[r : r + step] for rows in retry)
+                tt, m, bb = (rows[r : r + step] for rows in retry)
                 # the rows as the tokens of one image, each with its own codebook
-                i, e = _difference_search(z[tt, bb], c[m, tc[tt]][None])
-                idx[m, tt, bb], err[m, tt, bb] = i[0], e[0]
-            indices[b : b + nb, :, t : t + nt] = idx.transpose(2, 0, 1)
-            errors[b : b + nb, :, t : t + nt] = err.transpose(2, 0, 1)
+                i, e = _difference_search(z[tt, bb], c[m, tt][None])
+                idx[tt, m, bb], err[tt, m, bb] = i[0], e[0]
+            indices[b : b + nb, :, t : t + nt] = idx.transpose(2, 1, 0)
+            errors[b : b + nb, :, t : t + nt] = err.transpose(2, 1, 0)
     return indices, errors
+
+
+@functools.lru_cache(maxsize=16)
+def _tally(K: int) -> np.ndarray:
+    """Rows of 1s and of 0..K−1: a product counts a row's candidates and sums their indices."""
+    tally = np.stack([np.ones(K), np.arange(K)])
+    tally.flags.writeable = False
+    return tally
 
 
 def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

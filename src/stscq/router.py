@@ -76,7 +76,9 @@ def router_probs(x: np.ndarray, p: RouterParams) -> np.ndarray:
 
 def _finite_probs(x: np.ndarray, p: RouterParams) -> np.ndarray:
     """router_probs for choosing groups; RangeViolation for a non-finite probability."""
-    probs = router_probs(x, p)
+    # overflowing weights make inf − inf in the softmax: refused below, without numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = router_probs(x, p)
     if not np.isfinite(probs).all():
         raise RangeViolation("the router's probabilities are not finite: a weight is non-finite or overflows")
     return probs
@@ -113,8 +115,9 @@ def _loss_terms(g: np.ndarray, e: np.ndarray):
     """The guided, balance and decisive terms of (B, M) distributions g under
     errors e, and the pieces of their gradient: the centered errors, log g and log ḡ."""
     B, M = g.shape
-    centered = e - e.mean(axis=1, keepdims=True)
-    gbar = g.mean(axis=0)
+    # sums over a count: the bits of .mean(), without its per-call checks
+    centered = e - e.sum(axis=1, keepdims=True) / M
+    gbar = g.sum(axis=0) / B
     log_g = np.log(np.maximum(g, _LOG_FLOOR))
     log_gbar = np.log(np.maximum(gbar, _LOG_FLOOR))
     qua = float((g * centered).sum() / (B * M))

@@ -17,9 +17,9 @@ import numpy as np
 
 from .codebook import CodebookPool, init_kmeanspp
 from .errors import BadSpec, DivergenceDetected, HeaderMismatch, StageOrderError, TooFewSamples
-from .latent import PcaTransform, encode, image_patches
+from .latent import PcaTransform, encode_corpus
 from .metrics import corpus_utilization
-from .quantizer import _tokens, codes_at, quantize_corpus, search
+from .quantizer import _CHUNK_BYTES, _tokens, codes_at, quantize_corpus, search
 from .router import RouterParams, init_router, router_loss_and_grads, router_probs
 
 _GRAD_CLIP = 1e3
@@ -115,11 +115,9 @@ def _clip_grads(grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
 
 def _router_step(router: RouterParams, pooled, errs, cfg, lr) -> float:
     loss, grads = router_loss_and_grads(pooled, errs, router, cfg.lam1, cfg.lam2)
-    grads = _clip_grads(grads)
-    router.W1 -= lr * grads["W1"]
-    router.b1 -= lr * grads["b1"]
-    router.W2 -= lr * grads["W2"]
-    router.b2 -= lr * grads["b2"]
+    for name, grad in _clip_grads(grads).items():
+        weights = getattr(router, name)
+        weights -= lr * grad
     return loss
 
 
@@ -134,34 +132,47 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
     n = data.shape[0]
     codes = np.array(codes, dtype=np.float64, order="C")
     M, Tp, K, d = codes.shape
+    B = cfg.batch_size
     flat = codes.reshape(-1, d)
     token_row = np.arange(cfg.T) % Tp  # all zeros when one codebook serves every token
-    epoch_len = max(1, n // cfg.batch_size)
-    usage = np.zeros((M, Tp, K), dtype=np.int64)
+    epoch_len = max(1, n // B)
+    usage = np.zeros(M * Tp * K, dtype=np.int64)
     stale = np.zeros((M, Tp, K), dtype=np.int64)
+    rows = np.arange(B)
     curve = []
+    # warm-up leaves the codes as they are and draws nothing but its batches, so
+    # a block of warm-up steps draws its batches up front and searches their
+    # distinct images once; a block's (images, M, T) results fit _CHUNK_BYTES
+    warm = min(warmup, steps)
+    fits = _CHUNK_BYTES // (16 * M * cfg.T)
+    block = warm if n <= fits else max(1, fits // B)
 
     for step in range(steps):
         lr = _cosine_lr(cfg.learning_rate, step, steps)
-        batch = data[rng.integers(0, n, size=cfg.batch_size)]
-        pooled = batch.mean(axis=1)
-        found, err = search(batch, codes)  # (B, M, T) indices and errors
+        if step < warm:
+            if step % block == 0:
+                picks = np.stack([rng.integers(0, n, size=B) for _ in range(min(block, warm - step))])
+                images, where = np.unique(picks, return_inverse=True)
+                found_all, err_all = search(data[images], codes)
+                where = where.reshape(picks.shape)
+            batch = data[picks[step % block]]
+            found, err = found_all[where[step % block]], err_all[where[step % block]]
+        else:
+            batch = data[rng.integers(0, n, size=B)]
+            found, err = search(batch, codes)  # (B, M, T) indices and errors
+        pooled = batch.sum(axis=1) / cfg.T  # batch.mean(axis=1), without its checks
         errs = err.sum(axis=2)
         routed = router_probs(pooled, router).argmax(axis=1)
-        rows = np.arange(len(batch))
 
-        quant_loss = float(errs[rows, routed].mean())
+        quant_loss = float(errs[rows, routed].sum() / B)  # .mean(), without its checks
         if step >= warmup:
-            # sums and counts per (m, t', k) key, accumulated in batch order
-            idx = found[rows, routed]
-            keys = ((routed[:, None] * Tp + token_row) * K + idx).ravel()
-            counts = np.bincount(keys, minlength=M * Tp * K)
-            sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
-                               weights=batch.ravel(), minlength=flat.size).reshape(-1, d)
-            used = counts > 0
-            means = sums[used] / counts[used][:, None]
-            flat[used] -= 2.0 * lr * (flat[used] - means)
-            usage += counts.reshape(M, Tp, K)
+            # sums and counts per (m, t', k) key the batch uses, accumulated in batch order
+            keys, at = np.unique(((routed[:, None] * Tp + token_row) * K + found[rows, routed]).ravel(),
+                                 return_inverse=True)
+            counts = np.bincount(at)
+            sums = np.bincount((at[:, None] * d + np.arange(d)).ravel(), weights=batch.ravel()).reshape(-1, d)
+            flat[keys] -= 2.0 * lr * (flat[keys] - sums / counts[:, None])
+            usage[keys] += counts
 
         # per-dimension error scale keeps the linear guided term from
         # saturating the softmax before the balance term can act
@@ -172,15 +183,33 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
         curve.append(total)
 
         if step >= warmup and (step + 1) % epoch_len == 0:
-            stale = np.where(usage > 0, 0, stale + 1)
+            stale = np.where(usage.reshape(stale.shape) > 0, 0, stale + 1)
             dead = stale >= cfg.dead_code_epochs
-            for m, t, k in zip(*np.nonzero(dead)):
-                image = data[rng.integers(n)]
-                sample = image[rng.integers(cfg.T)] if Tp == 1 else image[t]
-                codes[m, t, k] = sample + 1e-3 * rng.standard_normal(d)
-                stale[m, t, k] = 0
+            _reset_dead(codes, dead, data, rng)
+            stale[dead] = 0
             usage[:] = 0
     return codes, curve
+
+
+def _reset_dead(codes, dead, data, rng) -> None:
+    """Move each dead (m, t', k) code to a random training token plus 1e-3 noise.
+
+    The draws come code by code in the order of the dead codes: an image, then
+    a token row when one codebook serves every token (T' = 1), then d normals.
+    The codes are then written in one assignment.
+    """
+    n, T, d = data.shape
+    shared = dead.shape[1] == 1
+    token = np.nonzero(dead)[1].tolist()  # the token row t', which is the token when T' = T
+    image = [0] * len(token)
+    noise = np.empty((len(token), d))
+    draw, normal = rng.integers, rng.standard_normal
+    for i, row in enumerate(noise):
+        image[i] = draw(n)
+        if shared:
+            token[i] = draw(T)
+        normal(out=row)
+    codes[dead] = data[image, token] + 1e-3 * noise
 
 
 def stage1(
@@ -261,10 +290,9 @@ def stage3(
     if not pool.frozen:
         raise StageOrderError("stage 3 requires a frozen (stage-2) pool")
     start = time.perf_counter()
-    images = list(images)
-    groups, indices, _ = quantize_corpus([encode(img, pca) for img in images], pool)
+    tokens, Y = encode_corpus(list(images), pca)  # Y: the (N*T, p) patches
+    groups, indices, _ = quantize_corpus(tokens, pool)
     X = codes_at(pool, groups, indices).reshape(-1, pool.d)  # (N*T, d)
-    Y = np.concatenate([image_patches(img, pca.patch_size) for img in images])  # (N*T, p)
     design = np.hstack([X, np.ones((X.shape[0], 1))])
     coef, *_ = np.linalg.lstsq(design, Y, rcond=None)
     if not np.isfinite(coef).all():

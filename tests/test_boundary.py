@@ -17,7 +17,7 @@ from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, bit_width
 from stscq.errors import BadSpec, RangeViolation, ShapeMismatch
 from stscq.latent import encode, fit_pca, save_pca
 from stscq.quantizer import quantize_corpus, quantize_group, quantize_routed
-from stscq.router import init_router, load_router, route_learned, route_naive, save_router
+from stscq.router import _finite_probs, init_router, load_router, route_learned, route_naive, save_router
 from stscq.trainer import TrainConfig, stage1
 
 
@@ -75,11 +75,14 @@ def test_nn_routing_refuses_a_group_whose_error_is_nan():
             quantize_corpus(np.zeros((n, 2, 2)), pool)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_cr_routing_refuses_non_finite_probabilities():
-    # argmax over NaN probabilities chose group 0
+    # argmax over NaN probabilities chose group 0; the refusal used to follow
+    # numpy's overflow and invalid-value warnings
     router = init_router(2, 3, h=4)
     router.W1[:], router.b1[:], router.W2[:] = 0.0, 1e300, 1e300  # finite weights whose logits overflow
+    with pytest.raises(RangeViolation, match="not finite"):
+        _finite_probs(np.zeros((4, 2)), router)
     with pytest.raises(RangeViolation, match="not finite"):
         route_learned(np.zeros((2, 2)), router)
     with pytest.raises(RangeViolation, match="not finite"):
@@ -188,7 +191,8 @@ def test_a_manifest_image_of_another_geometry_is_a_data_error(toy, tmp_path):
     # token counts, which numpy refused to stack: exit 2 through its ValueError
     manifest = edit_manifest(toy, tmp_path, lambda meta: None)
     pgm = tmp_path / "img_00001.pgm"
-    pgm.write_bytes(pgm.read_bytes().replace(b"\n8 8\n", b"\n8 4\n", 1))
+    # half the pixels, so the file is a whole 8x4 image rather than one with bytes left over
+    pgm.write_bytes(pgm.read_bytes().replace(b"\n8 8\n", b"\n8 4\n", 1)[:-32])
     rc, err = run("eval", "--data", manifest, "--pool", toy / "p.pool", "--pca", toy / "p.pca",
                   "--out", tmp_path / "rd.csv")
     assert rc == 3 and "geometry" in err
@@ -273,7 +277,7 @@ def test_a_nan_pool_code_is_a_data_error_before_any_output(toy, tmp_path, comman
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("weights", ["nan", "overflow"])
 @pytest.mark.parametrize("command", ["encode", "eval"])
 def test_a_router_that_scores_non_finite_is_a_data_error(toy, tmp_path, command, weights):

@@ -196,6 +196,24 @@ def test_encode_malformed_pnm_is_data_error(tmp_path, trained, capsys, raw):
     assert not (tmp_path / "i.stscq").exists()
 
 
+def test_encode_pnm_with_trailing_bytes_is_data_error(tmp_path, trained, capsys):
+    # the pixels and one byte more used to encode as if the byte were not there
+    from stscq.latent import PcaTransform, save_pca
+
+    save_pca(PcaTransform(2, 1, np.zeros(4), np.eye(4)), tmp_path / "p.pca")
+    pixels = b"P5\n4 4\n255\n" + bytes(range(16))
+    (tmp_path / "ok.pgm").write_bytes(pixels)
+    (tmp_path / "bad.pgm").write_bytes(pixels + b"\n")
+    args = ["--pca", tmp_path / "p.pca", "--pool", trained / "pool_stage2.pool"]
+    assert run("encode", "--image", tmp_path / "ok.pgm", *args, "--out", tmp_path / "ok.stscq") == 0
+    capsys.readouterr()
+    rc = run("encode", "--image", tmp_path / "bad.pgm", *args, "--out", tmp_path / "bad.stscq")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "bytes after" in err and "Traceback" not in err
+    assert not (tmp_path / "bad.stscq").exists()
+
+
 def test_decode_with_two_channel_pca_is_data_error(tmp_path, trained):
     from stscq.latent import PCA_MAGIC
 
@@ -558,11 +576,14 @@ def count_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    search, encode = counting("quantize_corpus", quantizer.quantize_corpus), counting("encode", latent.encode)
+    original = latent.encode
+    search, encode = counting("quantize_corpus", quantizer.quantize_corpus), counting("encode", original)
     for module in (quantizer, metrics, trainer):
         monkeypatch.setattr(module, "quantize_corpus", search)
-    for module, name in ((latent, "encode"), (metrics, "encode"), (trainer, "encode"), (cli, "pca_encode")):
-        monkeypatch.setattr(module, name, encode)
+    for module in (latent, metrics, trainer, cli):
+        for name, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, name, encode)
     return calls
 
 

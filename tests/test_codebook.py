@@ -64,6 +64,53 @@ def test_kmeans_too_few_samples():
         init_kmeanspp(np.zeros((3, 2)), K=4, seed=0)
 
 
+def masked_mean_kmeanspp(samples, K, seed):
+    """init_kmeanspp with its Lloyd means taken centre by centre over a mask;
+    returns the codes and the number of empty centres it redrew."""
+    from stscq.quantizer import search
+
+    n, d = samples.shape
+    rng = np.random.default_rng(seed)
+    centers = np.empty((K, d))
+    centers[0] = samples[rng.integers(n)]
+    d2 = ((samples - centers[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[k] = samples[rng.integers(n)]
+            continue
+        centers[k] = samples[np.searchsorted(np.cumsum(d2 / total), rng.random())]
+        d2 = np.minimum(d2, ((samples - centers[k]) ** 2).sum(axis=1))
+    empty = 0
+    for _ in range(10):
+        assign = search(samples[:, None], centers[None, None])[0][:, 0, 0]
+        for k in range(K):
+            mask = assign == k
+            if mask.any():
+                centers[k] = samples[mask].mean(axis=0)
+            else:
+                centers[k] = samples[rng.integers(n)] + 1e-3 * rng.standard_normal(d)
+                empty += 1
+    return centers, empty
+
+
+@pytest.mark.parametrize("data", ["spread", "three-points", "negative-zeros"])
+def test_kmeans_lloyd_means_match_the_masked_loop(data):
+    """Each centre's mean has the masked mean's bits; a centre left empty (three
+    distinct points for six centres) draws its new start in the same order."""
+    rng = np.random.default_rng(11)
+    if data == "spread":
+        samples = rng.standard_normal((300, 5)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+    elif data == "three-points":
+        samples = np.repeat(rng.standard_normal((3, 5)), 20, axis=0)
+    else:
+        samples = rng.standard_normal((300, 5))
+        samples[:, 2] = -0.0
+    want, empty = masked_mean_kmeanspp(samples, 6, seed=4)
+    assert (empty > 0) == (data == "three-points")
+    assert init_kmeanspp(samples, K=6, seed=4).codes.tobytes() == want.tobytes()
+
+
 def test_kmeans_deterministic():
     rng = np.random.default_rng(3)
     samples = rng.standard_normal((100, 3))

@@ -14,6 +14,7 @@ from stscq.errors import (
     DimensionTooLarge,
     EmptyCorpus,
     HeaderMismatch,
+    LengthMismatch,
     NonDivisibleImage,
     RangeViolation,
     ShapeMismatch,
@@ -219,8 +220,9 @@ def test_read_pnm_skips_header_comments(tmp_path):
         (b"P5\n4 4\n255\n" + bytes(15), Truncated),
         (b"P5\n4 4\n65535\n" + bytes(32), HeaderMismatch),
         (b"P3\n1 1\n255\n\x00", BadMagic),
+        (b"P5\n4 2\n255\n" + bytes(16), LengthMismatch),  # a 4x2 image and 8 bytes more
     ],
-    ids=["empty", "no-maxval", "non-numeric", "short-pixels", "maxval", "magic"],
+    ids=["empty", "no-maxval", "non-numeric", "short-pixels", "maxval", "magic", "trailing-bytes"],
 )
 def test_read_pnm_rejects_malformed_file(tmp_path, raw, error):
     path = tmp_path / "bad.pgm"

@@ -85,6 +85,8 @@ def test_quantize_one_matches_oracle():
 def test_quantize_one_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         quantize_one(np.zeros(3), Codebook(np.zeros((2, 2))))
+    with pytest.raises(ShapeMismatch):  # one kind of error: a dimension mismatch is a shape mismatch
+        quantize_one(np.zeros(3), Codebook(np.zeros((2, 2))))
 
 
 def test_group_token_shared_equals_shared_codebook():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup
-from stscq.errors import EmptyBatch, LengthMismatch, RangeViolation, ShapeMismatch
+from stscq.errors import DimensionMismatch, EmptyBatch, LengthMismatch, RangeViolation, ShapeMismatch
 from stscq.quantizer import quantize_group, quantize_routed
 from stscq.router import (
     RouterParams,
@@ -60,6 +60,16 @@ def test_route_learned_rejects_non_finite_tokens(bad):
     tokens[1, 2] = bad
     with pytest.raises(RangeViolation):
         route_learned(tokens, init_router(4, 3, h=8))
+
+
+def test_router_dimension_mismatch_is_a_shape_mismatch():
+    p = init_router(4, 3, h=8)
+    x = np.zeros((2, 3))  # pooled inputs of dimension 3 for a router of dimension 4
+    for call in (lambda: router_probs(x, p), lambda: router_loss_and_grads(x, np.zeros((2, 3)), p)):
+        with pytest.raises(DimensionMismatch):
+            call()
+        with pytest.raises(ShapeMismatch):
+            call()
 
 
 def test_route_naive_single_group():

@@ -8,8 +8,9 @@ from stscq.codebook import load_pool, save_pool
 from stscq.errors import BadSpec, DivergenceDetected, HeaderMismatch, RangeViolation, StageOrderError, TooFewSamples
 from stscq.latent import ImageBuffer, encode, fit_pca, image_patches
 from stscq.quantizer import dequantize, group_errors, quantize_routed
-from stscq.router import init_router
+from stscq.router import init_router, router_probs
 from stscq.synth import ImageCorpusSpec, MixtureSpec, make_image_corpus, make_token_corpus
+from stscq import trainer
 from stscq.trainer import (
     TrainConfig,
     TrainReport,
@@ -70,6 +71,99 @@ def test_stage1_router_warmup_keeps_initial_codes(mixture):
     pool, _ = stage1(tokens, cfg)
     for g0, g1 in zip(init.groups, pool.groups):
         assert np.array_equal(g0.sub[0].codes, g1.sub[0].codes)
+
+
+def refine_step_by_step(data, codes, router, cfg, steps, warmup, rng):
+    """_refine as one loop per step: a search of every step's batch, the code
+    update over all M·T'·K·d bins and the dead-code resets code by code."""
+    n = data.shape[0]
+    codes = np.array(codes, dtype=np.float64, order="C")
+    M, Tp, K, d = codes.shape
+    flat = codes.reshape(-1, d)
+    token_row = np.arange(cfg.T) % Tp
+    epoch_len = max(1, n // cfg.batch_size)
+    usage = np.zeros((M, Tp, K), dtype=np.int64)
+    stale = np.zeros((M, Tp, K), dtype=np.int64)
+    curve = []
+    for step in range(steps):
+        lr = trainer._cosine_lr(cfg.learning_rate, step, steps)
+        batch = data[rng.integers(0, n, size=cfg.batch_size)]
+        pooled = batch.mean(axis=1)
+        found, err = trainer.search(batch, codes)
+        errs = err.sum(axis=2)
+        routed = router_probs(pooled, router).argmax(axis=1)
+        rows = np.arange(len(batch))
+        quant_loss = float(errs[rows, routed].mean())
+        if step >= warmup:
+            keys = ((routed[:, None] * Tp + token_row) * K + found[rows, routed]).ravel()
+            counts = np.bincount(keys, minlength=M * Tp * K)
+            sums = np.bincount((keys[:, None] * d + np.arange(d)).ravel(),
+                               weights=batch.ravel(), minlength=flat.size).reshape(-1, d)
+            used = counts > 0
+            flat[used] -= 2.0 * lr * (flat[used] - sums[used] / counts[used][:, None])
+            usage += counts.reshape(M, Tp, K)
+        curve.append(quant_loss + trainer._router_step(router, pooled, errs / (cfg.T * cfg.d), cfg, lr))
+        if step >= warmup and (step + 1) % epoch_len == 0:
+            stale = np.where(usage > 0, 0, stale + 1)
+            for m, t, k in zip(*np.nonzero(stale >= cfg.dead_code_epochs)):
+                image = data[rng.integers(n)]
+                sample = image[rng.integers(cfg.T)] if Tp == 1 else image[t]
+                codes[m, t, k] = sample + 1e-3 * rng.standard_normal(d)
+                stale[m, t, k] = 0
+            usage[:] = 0
+    return codes, curve
+
+
+# blocks of warm-up steps: all 50 in one, or 7 steps (112 images' results) at a
+# time, also over a run that ends inside its warm-up
+@pytest.mark.parametrize("cap, steps, searches", [(None, 130, 1 + 80), (16 * 4 * 4 * 16 * 7, 130, 8 + 80),
+                                                  (16 * 4 * 4 * 16 * 7, 20, 3)],
+                         ids=["one-block", "blocks-of-7", "warm-up-past-the-end"])
+@pytest.mark.parametrize("shared", [True, False], ids=["T'=1", "T'=T"])
+def test_refine_is_the_step_by_step_loop_bit_for_bit(mixture, monkeypatch, shared, cap, steps, searches):
+    """One search per warm-up block and one per later step give every code,
+    loss and router weight of a search per step, with dead codes reset."""
+    tokens, _, _ = mixture
+    cfg = small_cfg()
+    if cap is not None:
+        monkeypatch.setattr(trainer, "_CHUNK_BYTES", cap)
+    pool = init_stage1_pool(tokens, cfg)
+    codes = pool.codes if shared else np.broadcast_to(pool.codes, (cfg.M, cfg.T, cfg.K, cfg.d))
+    warmup = 50
+    want_router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=0)
+    want, want_curve = refine_step_by_step(tokens, codes, want_router, cfg, steps, warmup,
+                                           np.random.default_rng(5))
+    calls = []
+    search = trainer.search
+    monkeypatch.setattr(trainer, "search", lambda *a: calls.append(len(a[0])) or search(*a))
+    router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=0)
+    got, curve = trainer._refine(tokens, codes, router, cfg, steps, warmup, np.random.default_rng(5), 1)
+    assert len(calls) == searches
+    assert got.tobytes() == want.tobytes()
+    assert curve == want_curve
+    for name in ("W1", "b1", "W2", "b2"):
+        assert getattr(router, name).tobytes() == getattr(want_router, name).tobytes()
+
+
+@pytest.mark.parametrize("Tp", [1, 4], ids=["T'=1", "T'=T"])
+@pytest.mark.parametrize("dead", ["all", "some", "none"])
+def test_dead_code_resets_are_the_loop_over_codes(Tp, dead):
+    """The draws come code by code as the loop made them, then one write; a
+    forced all-dead epoch resets every code."""
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((10, 4, 3))
+    codes = rng.standard_normal((2, Tp, 5, 3))
+    mask = {"all": np.ones(codes.shape[:3], bool), "some": rng.random(codes.shape[:3]) < 0.4,
+            "none": np.zeros(codes.shape[:3], bool)}[dead]
+    want, draws = codes.copy(), np.random.default_rng(9)
+    for m, t, k in zip(*np.nonzero(mask)):
+        image = data[draws.integers(10)]
+        sample = image[draws.integers(4)] if Tp == 1 else image[t]
+        want[m, t, k] = sample + 1e-3 * draws.standard_normal(3)
+    got, rng = codes.copy(), np.random.default_rng(9)
+    trainer._reset_dead(got, mask, data, rng)
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == draws.random()  # as many draws, in the same order
 
 
 def test_stage1_two_clusters_single_code_each():
