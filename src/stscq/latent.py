@@ -129,30 +129,44 @@ def token_count(width: int, height: int, patch_size: int) -> int:
 def fit_pca(corpus, patch_size: int, d: int, seed: int = 0) -> PcaTransform:
     """Top-d principal directions of centered patches across the corpus.
 
-    Deterministic given corpus order; signs are fixed so the largest-
-    magnitude entry of each basis row is positive.
+    The directions are the top eigenvectors of the (p, p) scatter matrix of
+    the centered patches, which is the right singular basis of the patch
+    matrix without forming its n×p left singular vectors. Deterministic given
+    corpus order; signs are fixed so the largest-magnitude entry of each
+    basis row is positive. The fit draws nothing from `seed`.
     """
     corpus = list(corpus)
     if not corpus:
         raise EmptyCorpus("fit_pca needs at least one image")
     channels = corpus[0].channels
+    if any(img.channels != channels for img in corpus):
+        raise ShapeMismatch("the images of a corpus must share one channel count")
     p = patch_size * patch_size * channels
     if d > p:
         raise DimensionTooLarge(f"d={d} exceeds patch dimension {p}")
 
-    all_patches = np.concatenate([image_patches(img, patch_size) for img in corpus])
-    if all_patches.shape[0] < d:
-        raise EmptyCorpus(f"corpus yields {all_patches.shape[0]} patches, need >= {d}")
-    mean = all_patches.mean(axis=0)
-    centered = all_patches - mean
+    # filled image by image, so the corpus's patches are held once and not
+    # also as a list of per-image copies
+    patches = np.empty((sum(token_count(img.width, img.height, patch_size) for img in corpus), p))
+    row = 0
+    for img in corpus:
+        block = image_patches(img, patch_size)
+        patches[row : row + len(block)] = block
+        row += len(block)
+    if row < d:
+        raise EmptyCorpus(f"corpus yields {row} patches, need >= {d}")
+    # a NaN or infinite pixel makes its column of the scatter matrix NaN, and
+    # pixels too large to square make it infinite; both are refused before eigh
+    with np.errstate(all="ignore"):
+        mean = patches.mean(axis=0)
+        patches -= mean
+        scatter = patches.T @ patches
+    if not np.isfinite(scatter).all():
+        raise RangeViolation("corpus pixels must be finite, and small enough to square")
 
-    # SVD of the centered patch matrix; right singular vectors are the basis.
-    _, s, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:d]
-    if basis.shape[0] < d:
-        # degenerate corpus: pad with an arbitrary orthonormal completion
-        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, d)))
-        basis = np.vstack([basis, q.T[basis.shape[0]:d]])
+    # eigh returns all p eigenvectors, in ascending order of eigenvalue
+    _, vecs = np.linalg.eigh(scatter)
+    basis = vecs[:, ::-1][:, :d].T
     signs = np.sign(basis[np.arange(d), np.abs(basis).argmax(axis=1)])
     signs[signs == 0] = 1.0
     basis = basis * signs[:, None]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from stscq import cli, synth
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, bit_width, save_pool, utilization
 from stscq.errors import BadSpec, RangeViolation, ShapeMismatch
-from stscq.latent import encode, fit_pca, save_pca
+from stscq.latent import ImageBuffer, encode, fit_pca, save_pca
 from stscq.quantizer import quantize_corpus, quantize_group, quantize_routed
 from stscq.router import _finite_probs, init_router, load_router, route_learned, route_naive, save_router
 from stscq.trainer import TrainConfig, stage1
@@ -87,6 +87,25 @@ def test_cr_routing_refuses_non_finite_probabilities():
         route_learned(np.zeros((2, 2)), router)
     with pytest.raises(RangeViolation, match="not finite"):
         quantize_corpus(np.zeros((4, 2, 2)), small_pool(), "cr", router)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "unsquarable"])
+def test_fit_pca_refuses_a_pixel_it_cannot_fit(pixel):
+    # a NaN pixel ended in numpy's LinAlgError, "SVD did not converge"
+    images = [ImageBuffer.from_array(np.full((8, 8), 0.5)) for _ in range(3)]
+    images[1].data[5, 2, 0] = pixel
+    with pytest.raises(RangeViolation, match="finite"):
+        fit_pca(images, 4, 2)
+
+
+def test_fit_pca_refuses_a_corpus_of_mixed_channel_counts():
+    # np.concatenate's bare ValueError; images of other sizes stay one corpus
+    rng = np.random.default_rng(9)
+    gray = [ImageBuffer.from_array(rng.uniform(0, 1, size)) for size in ((8, 8), (16, 4))]
+    assert fit_pca(gray, 4, 2).basis.shape == (2, 16)
+    with pytest.raises(ShapeMismatch, match="channel"):
+        fit_pca([*gray, ImageBuffer.from_array(rng.uniform(0, 1, (8, 8, 3)))], 4, 2)
 
 
 def run(*argv):

@@ -11,10 +11,10 @@ moves them on purpose re-pins them and says why in CHANGES.md.
 
 The digests hold for float64 numpy on x86-64. The encoder's PCA projection
 (`latent.encode`) is a fixed-order einsum, so its tokens are the same bits
-under every BLAS kernel. The router's matmuls, `fit_pca`'s SVD and stage 3's
-`lstsq` still go through BLAS and LAPACK, so another kernel may move the last
-bits of the routers, the loss curves, the `.pca` files and what depends on
-them. Print the current digests with
+under every BLAS kernel. The router's matmuls, `fit_pca`'s `eigh` of the
+patch covariance and stage 3's `lstsq` still go through BLAS and LAPACK, so
+another kernel may move the last bits of the routers, the loss curves, the
+`.pca` files and what depends on them. Print the current digests with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -47,18 +47,18 @@ from stscq.trainer import TrainConfig, TrainReport, stage1, stage2, stage3
 
 GOLDEN = {
     "small": {
-        "pool1": "4a8be01ebf1971eafa96b454380620da11739b090a8793d2b47d4c2aeeb66f30",
-        "router1": "cecf3d9ef4b28d874c27d5edece2e5811895806afbb93267a0544077711f16b9",
-        "pool2": "246ccafab288c3f0ecef6d6dd75d84eb5b38906a6a04816bba95981894f77e4e",
-        "router2": "9b1b6e937ab52d494624a047734cac747e9173663e3631b50cd8e1c51e2b02ac",
-        "pca3": "02c0195d94f5fc64ec60b960c284261ab7ddde09b57c19a171163284aef47171",
-        "curve_stage1": "eee5a2df5372aaecd5b88ef590ad4c2cdd2652c555d34f24bea34792b4440050",
-        "curve_stage2": "ca282bd2eaf8afe4b9961dd56affac5aedd7b180bac58fb7b93ad0f82a48e6d3",
-        "curve_stage3": "bc875a990b4928276335d8ee6be6a703ace182a1d760253a8eae2606bb0e4504",
+        "pool1": "edd5df598bf6455c61eca4ced95b9454cc3fe5e081409d3be03151146ba004b5",
+        "router1": "cc1c2178900d5a75c26e38a1bcab2f206dba7d00cbe48bf6e1cf122e01c86ef1",
+        "pool2": "3939becfe58769743a3a7e6347dffc3c941d11c9116a406657ec72be3f9696f6",
+        "router2": "089d87dcb153f6de99ed3b6cc5874a75038eb9081243a5a1d12681d808036388",
+        "pca3": "0c05f15497bd27706e0df9d18b25e57684aa485a8e44e1569c9b1993570583ca",
+        "curve_stage1": "750524adf605cbe76122f63021c6af83c236b956807eb6f424c17f7fa3a76bf7",
+        "curve_stage2": "35346cf0f273c4022de757d7515c5a24c09fe53e18c0d95e7746600740e62653",
+        "curve_stage3": "2b87033d958f70546b06257acddfba26ad2f91f7f2a1fe477aa0d6d48e1dcfa0",
         "histogram": "d0a14371b81bac86548b4c128eb17b89590f69633592d506c7db83bb63918764",
         "utilization": "33724600670d5f9cb71d40e1dda4512cbec0567efc1f9e7c39967f71cec341b1",
         "stream": "c420f644594435452b97351e89d902b7dfe898a2e8c4865a657b89d36c0ed4d3",
-        "eval_csv": "8235926df42d13572c5dfeaad6f6be0e9b055fec66f2a21fa0e18d4e073c056d",
+        "eval_csv": "c9ad069ce06b2a4c31f76e27600b1642969ec48a98480fdf4a5bc5405942f572",
         "eval_hist": "34c1f019cbea56dcf1303da14371fcb07a3c1e30ced9fdf90b93ba1cbff7d3b8",
     },
     "acceptance": {

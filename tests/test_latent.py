@@ -35,6 +35,7 @@ from stscq.latent import (
     token_count,
     write_pnm,
 )
+from stscq.synth import ImageCorpusSpec, make_image_corpus
 
 
 def random_images(rng, n, size=32, channels=1, lo=0.2, hi=0.8):
@@ -97,6 +98,76 @@ def test_basis_rows_orthonormal():
     t = fit_pca(random_images(rng, 5), patch_size=8, d=10)
     gram = t.basis @ t.basis.T
     assert np.allclose(gram, np.eye(10), atol=1e-6)
+
+
+def svd_reference(corpus, patch_size, d):
+    """The top-d right singular vectors of the centered patch matrix by
+    `np.linalg.svd`, signed by fit_pca's rule, its singular values, and the
+    centered patches."""
+    centered = np.concatenate([image_patches(img, patch_size) for img in corpus])
+    centered -= centered.mean(axis=0)
+    _, s, vt = np.linalg.svd(centered, full_matrices=False)
+    basis = vt[:d] * np.sign(vt[np.arange(d), np.abs(vt[:d]).argmax(axis=1)])[:, None]
+    return basis, s, centered
+
+
+def images_of_patches(patches, ps, side):
+    """Images of side×side patches of ps×ps pixels, filled in raster order."""
+    blocks = patches.reshape(-1, side, side, ps, ps).transpose(0, 1, 3, 2, 4)
+    return [ImageBuffer.from_array(b.reshape(side * ps, side * ps)) for b in blocks]
+
+
+def test_basis_matches_the_svd_on_a_corpus_with_a_clear_eigengap():
+    # variances a factor of four apart along 16 orthonormal directions
+    rng = np.random.default_rng(15)
+    directions = np.linalg.qr(rng.standard_normal((16, 16)))[0].T
+    coeffs = rng.standard_normal((6 * 16, 16)) * 0.5 ** np.arange(16)
+    corpus = images_of_patches(0.5 + 0.1 * coeffs @ directions, 4, 4)
+    t = fit_pca(corpus, patch_size=4, d=4)
+    basis, s, centered = svd_reference(corpus, 4, 4)
+    assert np.abs(t.basis - basis).max() <= 1e-10
+    retained = np.sum((centered @ t.basis.T) ** 2)
+    assert abs(retained - np.sum(s[:4] ** 2)) <= 1e-12 * np.sum(s[:4] ** 2)
+
+
+def test_basis_spans_the_svd_subspace_on_a_corpus_with_a_small_eigengap():
+    """perfbench's train-accept corpus: its 8th and 9th eigenvalues are 1.9%
+    apart, so single basis rows may turn a little within their near-degenerate
+    pair while the 8-dimensional subspace stays put."""
+    spec = ImageCorpusSpec(clusters=8, width=32, height=32, channels=1, patch_size=8,
+                           samples=512, sigma=0.05, seed=7)
+    corpus = make_image_corpus(spec)[0]
+    t = fit_pca(corpus, patch_size=8, d=8)
+    basis, s, centered = svd_reference(corpus, 8, 8)
+    assert s[7] ** 2 / s[8] ** 2 < 1.02
+    # the sine of the largest principal angle between the two subspaces
+    assert np.linalg.norm(t.basis.T - basis.T @ (basis @ t.basis.T), 2) <= 1e-9
+    retained = np.sum((centered @ t.basis.T) ** 2)
+    assert abs(retained - np.sum(s[:8] ** 2)) <= 1e-12 * np.sum(s[:8] ** 2)
+
+
+@pytest.mark.parametrize("kind", ["constant", "rank-two"])
+def test_degenerate_corpora_give_orthonormal_rows_without_the_seed(kind):
+    rng = np.random.default_rng(16)
+    if kind == "constant":
+        patches = np.full((32, 16), 0.5)
+    else:
+        patches = 0.5 + rng.uniform(-0.1, 0.1, (32, 2)) @ rng.standard_normal((2, 16))
+    corpus = images_of_patches(patches, 4, 4)
+    t = fit_pca(corpus, patch_size=4, d=5)
+    assert t.basis.shape == (5, 16)
+    assert np.abs(t.basis @ t.basis.T - np.eye(5)).max() <= 1e-12
+    assert np.array_equal(fit_pca(corpus, patch_size=4, d=5, seed=3).basis, t.basis)
+
+
+def test_fit_pca_allocates_little_beyond_one_patch_matrix():
+    """The patch matrix, one image's patches and the (p, p) scatter matrix:
+    a concatenate of every image's patches peaked at 2.0 times the patch
+    matrix's bytes, and an SVD of the centered patches at 3.0 times."""
+    rng = np.random.default_rng(17)
+    corpus = random_images(rng, 16, size=256)
+    patch_bytes = 16 * 256 * 256 * 8
+    assert _traced_peak(fit_pca, corpus, 16, 8) < 1.5 * patch_bytes
 
 
 def test_encode_matches_independent_projection():
