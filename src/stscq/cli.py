@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bitstream, synth
+from . import artifact, bitstream, synth
 from .codebook import load_pool, save_pool
 from .errors import BadSpec, DivergenceDetected, HeaderMismatch, ShapeMismatch, StscqError
 from .latent import decode as pca_decode
@@ -146,7 +146,7 @@ def cmd_encode(args) -> int:
         _check_geometry(header, pca, args.pca)
     q = quantize_routed(tokens, pool, policy=args.policy, router=router)
     stream = bitstream.serialize(q, header)
-    Path(args.out).write_bytes(stream)
+    artifact.rewrite(args.out, stream)
     rate = bitstream.bpp(pool.T, pool.K, pool.M, width, height, include_header=args.include_header_bpp)
     print(f"wrote {args.out}: {len(stream)} bytes, bpp={rate:.6f}")
     return EXIT_OK

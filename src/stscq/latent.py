@@ -33,9 +33,12 @@ PCA_VERSION_ENC = 1
 PCA_VERSION_DEC = 2
 _PCA_HEADER = "<BHBH"  # version, patch_size, channels, d
 # Decode and PNM write work in bands of at most this many bytes of float64
-# temporaries (decode's band is one patch row when that is larger): big ones are
-# handed back to the OS when freed and faulted in again on the next image.
-# Bands of one patch row each slowed evaluation over many small images.
+# temporaries (decode's band is one patch row when that is larger), and
+# encode_corpus projects blocks of four bands: big ones are handed back to the
+# OS when freed and faulted in again on the next image. Bands of one patch row
+# each slowed evaluation over many small images. Decode clips its whole product
+# once, contiguously, before its bands, so each band is a plain copy into raster
+# order.
 _BAND_BYTES = 64 * 1024
 
 
@@ -145,16 +148,9 @@ def fit_pca(corpus, patch_size: int, d: int, seed: int = 0) -> PcaTransform:
     if d > p:
         raise DimensionTooLarge(f"d={d} exceeds patch dimension {p}")
 
-    # filled image by image, so the corpus's patches are held once and not
-    # also as a list of per-image copies
-    patches = np.empty((sum(token_count(img.width, img.height, patch_size) for img in corpus), p))
-    row = 0
-    for img in corpus:
-        block = image_patches(img, patch_size)
-        patches[row : row + len(block)] = block
-        row += len(block)
-    if row < d:
-        raise EmptyCorpus(f"corpus yields {row} patches, need >= {d}")
+    patches = _patch_matrix(corpus, patch_size)
+    if len(patches) < d:
+        raise EmptyCorpus(f"corpus yields {len(patches)} patches, need >= {d}")
     # a NaN or infinite pixel makes its column of the scatter matrix NaN, and
     # pixels too large to square make it infinite; both are refused before eigh
     with np.errstate(all="ignore"):
@@ -179,19 +175,34 @@ def encode(img: ImageBuffer, t: PcaTransform) -> TokenMatrix:
 
 
 def encode_corpus(images: list[ImageBuffer], t: PcaTransform) -> tuple[np.ndarray, np.ndarray]:
-    """(N, T, d) tokens and (N·T, p) patches of N images of one size.
+    """(N, T, d) tokens and the (N·T, p) uncentred patches of N images of one size.
 
-    One projection of every patch gives each token the bits encode gives it:
-    the einsum sums each token's products in the same order however many rows
-    it projects.
-    """
-    patches = [image_patches(img, t.patch_size) for img in images]
-    if not patches:
+    The projection gives each token the bits encode gives it: the einsum sums
+    each token's products in the same order however many rows it projects."""
+    images = list(images)
+    if not images:
         raise EmptyCorpus("no images to encode")
-    if len({p.shape for p in patches}) > 1:
+    if len({(token_count(img.width, img.height, t.patch_size), img.channels) for img in images}) > 1:
         raise ShapeMismatch("the images of a corpus must share one size")
-    flat = np.concatenate(patches)
-    return _project(flat, t).reshape(len(patches), -1, t.d), flat
+    flat = _patch_matrix(images, t.patch_size)
+    # projected in blocks, so the centred copy is one block and not the whole matrix
+    tokens = np.empty((len(flat), t.d))
+    rows = max(1, 4 * _BAND_BYTES // (8 * t.patch_dim))
+    for r0 in range(0, len(flat), rows):
+        tokens[r0 : r0 + rows] = _project(flat[r0 : r0 + rows], t)
+    return tokens.reshape(len(images), -1, t.d), flat
+
+
+def _patch_matrix(images, patch_size: int) -> np.ndarray:
+    """(n, p) patches of images of one channel count, filled image by image, so
+    the corpus's patches are held once and not also as a list of per-image copies."""
+    counts = [token_count(img.width, img.height, patch_size) for img in images]
+    patches = np.empty((sum(counts), patch_size * patch_size * images[0].channels))
+    row = 0
+    for img, n in zip(images, counts):
+        patches[row : row + n] = image_patches(img, patch_size)
+        row += n
+    return patches
 
 
 def _project(patches: np.ndarray, t: PcaTransform) -> np.ndarray:
@@ -200,8 +211,9 @@ def _project(patches: np.ndarray, t: PcaTransform) -> np.ndarray:
             f"patch dim {patches.shape[1]} vs transform dim {t.patch_dim}"
         )
     # einsum sums each token's p products in one fixed order, so the tokens are
-    # the same bits under every BLAS kernel; a BLAS matmul here would also keep
-    # OpenBLAS's helper thread spinning, holding a CPU through the search
+    # the same bits under every BLAS kernel and for any number of rows; a BLAS
+    # matmul here would also keep OpenBLAS's helper thread spinning, holding a
+    # CPU through the search
     return np.einsum("tp,dp->td", patches - t.mean, t.basis)
 
 
@@ -224,6 +236,7 @@ def decode(tokens, t: PcaTransform, width: int, height: int) -> ImageBuffer:
     # other bits than the single product under some BLAS kernels
     patches = np.matmul(values, dec, out=data.reshape(expected, t.patch_dim))
     patches += dec_mean
+    np.clip(patches, 0.0, 1.0, out=patches)
     # a row of patches fills the same bytes in patch order and in raster order,
     # so each band of whole patch rows is permuted within its own rows
     gw = width // ps
@@ -232,7 +245,7 @@ def decode(tokens, t: PcaTransform, width: int, height: int) -> ImageBuffer:
         band = data[g0 * ps : (g0 + band_rows) * ps]
         n = band.shape[0] // ps
         in_patch_order = band.reshape(n, gw, ps, ps, c).copy()
-        np.clip(in_patch_order.transpose(0, 2, 1, 3, 4), 0.0, 1.0, out=band.reshape(n, ps, gw, ps, c))
+        band.reshape(n, ps, gw, ps, c)[...] = in_patch_order.transpose(0, 2, 1, 3, 4)
     return ImageBuffer(width=width, height=height, channels=c, data=data)
 
 
@@ -288,9 +301,7 @@ def write_pnm(img: ImageBuffer, path) -> None:
                 pixels[r0 : r0 + rows] = band
         except FloatingPointError:
             raise RangeViolation("the image holds NaN pixels") from None
-    with open(path, "wb") as f:
-        f.write(magic + b"\n%d %d\n255\n" % (img.width, img.height))
-        f.write(pixels)
+    artifact.rewrite(path, magic + b"\n%d %d\n255\n" % (img.width, img.height), pixels)
 
 
 # --- transform persistence ---

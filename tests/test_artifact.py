@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -188,3 +189,31 @@ def test_a_mapped_pool_is_not_scanned_for_non_finite_codes(tmp_path):
     codes[0, 1, 2, 0] = np.nan
     save_pool(CodebookPool(codes, frozen=True), tmp_path / "p.pool")
     assert np.isnan(load_pool(tmp_path / "p.pool").codes[0, 1, 2, 0])
+
+
+@pytest.mark.parametrize("old_size", [0, 5, 11, 100], ids=["empty", "shorter", "same", "longer"])
+@pytest.mark.parametrize("via_link", [False, True], ids=["file", "symlink"])
+def test_rewrite_in_place_gives_the_fresh_bytes_and_keeps_inode_and_mode(tmp_path, old_size, via_link):
+    chunks = (b"P5\n", bytearray(b"2 1\n255\n"), np.array([7, 250], dtype=np.uint8))
+    fresh = tmp_path / "fresh"
+    artifact.rewrite(fresh, *chunks)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"\xaa" * old_size)
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    inode = target.stat().st_ino
+    artifact.rewrite(link if via_link else target, *chunks)
+    assert target.read_bytes() == fresh.read_bytes() == b"P5\n2 1\n255\n\x07\xfa"
+    assert target.stat().st_ino == inode
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert link.is_symlink()
+
+
+def test_rewrite_creates_a_new_file_with_the_umask_mode(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        artifact.rewrite(tmp_path / "new", b"abc")
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "new").read_bytes() == b"abc"
+    assert (tmp_path / "new").stat().st_mode & 0o777 == 0o640

@@ -314,6 +314,19 @@ def test_encode_tokens_takes_the_given_geometry(t16_files, capsys, channels):
     assert (img.width, img.height, img.channels) == (16, 16, channels)
 
 
+def test_encode_and_decode_onto_longer_existing_files_leave_exactly_the_new_output(t16_files):
+    d = t16_files
+    encode = ["encode", "--tokens", d / "t.npy", "--pool", d / "p.pool", "--pca", d / "p1.pca",
+              "--width", 16, "--height", 16, "--out"]
+    decode = ["decode", "--pool", d / "p.pool", "--pca", d / "p1.pca", "--stream", d / "fresh.stscq", "--out"]
+    assert run(*encode, d / "fresh.stscq") == 0 and run(*decode, d / "fresh.pgm") == 0
+    for name in ("old.stscq", "old.pgm"):
+        (d / name).write_bytes(b"\xff" * 100000)
+    assert run(*encode, d / "old.stscq") == 0 and run(*decode, d / "old.pgm") == 0
+    assert (d / "old.stscq").read_bytes() == (d / "fresh.stscq").read_bytes()
+    assert (d / "old.pgm").read_bytes() == (d / "fresh.pgm").read_bytes()
+
+
 @pytest.mark.parametrize("geometry", [["--height", 16], ["--width", 16], [], ["--width", 0, "--height", 16]],
                          ids=["no-width", "no-height", "neither", "zero-width"])
 def test_encode_tokens_without_geometry_is_config_error(t16_files, capsys, geometry):

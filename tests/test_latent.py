@@ -27,6 +27,7 @@ from stscq.latent import (
     TokenMatrix,
     decode,
     encode,
+    encode_corpus,
     fit_pca,
     image_patches,
     load_pca,
@@ -449,3 +450,56 @@ def test_write_pnm_refuses_nan_pixels_and_writes_nothing(tmp_path):
     # infinities still clip to the ends of the range
     write_pnm(ImageBuffer.from_array(np.array([[np.inf, -np.inf, 0.5]])), tmp_path / "i.pgm")
     assert (tmp_path / "i.pgm").read_bytes().endswith(b"\xff\x00\x80")
+
+
+def test_write_pnm_refusing_nan_leaves_an_existing_file_as_it_was(tmp_path):
+    path = tmp_path / "n.pgm"
+    write_pnm(ImageBuffer.from_array(np.full((4, 6), 0.25)), path)
+    before = path.read_bytes()
+    with pytest.raises(RangeViolation, match="NaN"):
+        write_pnm(ImageBuffer.from_array(np.array([[np.nan, 0.5]])), path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter", "same", "symlink"])
+def test_write_pnm_over_an_existing_file_gives_the_fresh_bytes_in_place(tmp_path, old):
+    """An output file is rewritten in place and cut to length: the bytes of a
+    fresh write, on the same inode, with the same permission bits."""
+    rng = np.random.default_rng(15)
+    img = ImageBuffer.from_array(rng.uniform(0, 1, (8, 12, 3)))
+    write_pnm(img, tmp_path / "fresh.ppm")
+    fresh = (tmp_path / "fresh.ppm").read_bytes()
+    target = tmp_path / "target.ppm"
+    target.write_bytes({"longer": b"\x11" * 1000, "shorter": b"P6\n1 1\n255\nabc"}.get(old, bytes(len(fresh))))
+    target.chmod(0o600)
+    inode = target.stat().st_ino
+    path = target
+    if old == "symlink":
+        path = tmp_path / "link.ppm"
+        path.symlink_to(target.name)
+    write_pnm(img, path)
+    assert target.read_bytes() == fresh
+    assert target.stat().st_ino == inode and target.stat().st_mode & 0o777 == 0o600
+
+
+@pytest.mark.parametrize("size, ps, c, n", [(256, 16, 1, 32), (32, 8, 1, 50), (24, 4, 3, 7)])
+def test_encode_corpus_is_per_image_encode_with_one_patch_matrix(size, ps, c, n):
+    """The tokens are the bits of encoding image by image, the patches are
+    uncentred, and the peak allocation stays near the one (N·T, p) matrix."""
+    rng = np.random.default_rng(16)
+    images = random_images(rng, n, size=size, channels=c, lo=0.0, hi=1.0)
+    t = fit_pca(images, patch_size=ps, d=8)
+    tokens, flat = encode_corpus(images, t)
+    assert tokens.tobytes() == np.stack([encode(img, t).values for img in images]).tobytes()
+    assert flat.tobytes() == np.concatenate([image_patches(img, ps) for img in images]).tobytes()
+    if size == 256:  # 16 MB of patches: the block and per-image temporaries are small beside it
+        assert _traced_peak(encode_corpus, images, t) <= 1.25 * flat.nbytes
+
+
+def test_encode_corpus_refuses_images_of_two_sizes():
+    rng = np.random.default_rng(17)
+    t = fit_pca(random_images(rng, 2, size=16), patch_size=4, d=3)
+    with pytest.raises(ShapeMismatch):
+        encode_corpus(random_images(rng, 1, size=16) + random_images(rng, 1, size=8), t)
+    with pytest.raises(EmptyCorpus):
+        encode_corpus([], t)
