@@ -111,7 +111,8 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if B == 1:
         # the screen's pass over the codes would cost one image more than the
         # threaded difference form does (113–136 against 50–106 ms at
-        # M16/T256/K1024 on 2 CPUs)
+        # M16/T256/K1024 on 2 CPUs, and 60–62 ms in process once the
+        # difference form allocated its buffers once per call)
         indices, errors = _difference_search(batch[0], codes)
         return indices[None], errors[None]
     M, Tc, K, _ = codes.shape
@@ -215,12 +216,13 @@ def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarra
     """Nearest code to each of one image's (T, d) tokens in each group by the
     difference form Σ(z − c)² over all K: (M, T) indices and squared errors.
 
-    Tokens are taken in slices so the difference temporary and the tokens
-    repeated K times stay within _CHUNK_BYTES across all of _WORKERS. A call
-    with two or more slices splits them over the worker threads, one
-    contiguous range of tokens each (numpy's loops release the GIL); each
-    slice writes its own columns of the results with the same arithmetic, so
-    the bits do not depend on the split.
+    Tokens are taken in slices so the differences and the tokens repeated K
+    times stay within _CHUNK_BYTES across all of _WORKERS. Each worker
+    allocates them, and the distances (1/d of the differences), once per call
+    and refills them slice by slice. A call with two or more slices splits
+    them over the worker threads, one contiguous range of tokens each (numpy's
+    loops release the GIL); each slice writes its own columns of the results
+    with the same arithmetic, so the bits do not depend on the split.
     """
     T, d = tokens.shape
     M, _, K, _ = codes.shape
@@ -230,21 +232,31 @@ def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarra
     nt = max(1, _CHUNK_BYTES // (8 * (M + 1) * K * d * _WORKERS))
 
     def search_tokens(lo: int, hi: int) -> None:
+        # one set of buffers per call and worker, laid out token-major so that
+        # a short last slice is their leading rows, still contiguous: the flat
+        # views below must be views, not copies
+        n = min(nt, hi - lo)
+        z_buf, diff_buf, dists_buf = np.empty((n, K, d)), np.empty((n, M, K, d)), np.empty((n, M, K))
+        groups = np.arange(M)
         for t in range(lo, hi, nt):
             s = slice(t, min(t + nt, hi))
+            w = s.stop - t
+            z, diff, dists = z_buf[:w], diff_buf[:w], dists_buf[:w]
             # with each token repeated K times, the subtraction runs over
             # contiguous (K, d) rows instead of d values at a time
-            z = np.repeat(tokens[s, None, :], K, axis=1)
+            z[...] = tokens[s, None, :]
             # a mapped pool's codes sit 5 bytes off 8-byte alignment, where numpy
             # subtracts in a slower loop; copy them into the aligned difference
             # buffer and subtract in place (the same bits as z - codes)
-            diff = np.empty((M,) + z.shape)
-            diff[:] = codes[:, s]
-            np.subtract(z, diff, out=diff)
-            dists = np.einsum("mtkd,mtkd->mtk", diff, diff)
+            diff[...] = codes[:, s].swapaxes(0, 1)
+            np.subtract(z[:, None], diff, out=diff)
+            # each row's d squares summed as by "mtkd,mtkd->mtk", without the
+            # 4-D iterator
+            rows = diff.reshape(-1, d)
+            np.einsum("kd,kd->k", rows, rows, out=dists.reshape(-1))
             idx = dists.argmin(axis=2)  # argmin returns the first minimum: lowest index
-            indices[:, s] = idx
-            errors[:, s] = np.take_along_axis(dists, idx[..., None], axis=2)[..., 0]
+            indices[:, s] = idx.T
+            errors[:, s] = dists[np.arange(w)[:, None], groups, idx].T
 
     slices = -(-T // nt)
     workers = min(_WORKERS, slices)

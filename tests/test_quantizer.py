@@ -1,12 +1,17 @@
+import hashlib
 import itertools
 import os
 import signal
+import subprocess
 import sys
 import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stscq
 from stscq import trainer
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific, init_kmeanspp
 from stscq.errors import (
@@ -308,6 +313,130 @@ def test_threaded_single_image_search_is_the_serial_one_bit_for_bit(monkeypatch,
     assert (quantizer._pool is not None) == (workers > 1)
     if quantizer._pool is not None:
         quantizer._pool.shutdown()
+
+
+def broadcast_difference_search(tokens, codes):
+    """_difference_search as one broadcast formula: the (M, T, K, d)
+    difference, its squares summed by einsum, argmin and take_along_axis."""
+    T, d = tokens.shape
+    M, _, K, _ = codes.shape
+    diff = tokens[None, :, None, :] - np.broadcast_to(codes, (M, T, K, d))
+    dists = np.einsum("mtkd,mtkd->mtk", diff, diff)
+    idx = dists.argmin(axis=2)  # argmin returns the first minimum: lowest index
+    return idx, np.take_along_axis(dists, idx[..., None], axis=2)[..., 0]
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("M", [1, 3])
+@pytest.mark.parametrize("shared", [False, True], ids=["T'=T", "T'=1"])
+@pytest.mark.parametrize("data", ["normal", "grid", "non-finite"])
+def test_difference_search_is_the_broadcast_formula_bit_for_bit(monkeypatch, data, shared, M, d):
+    """Every worker count and slice size gives the broadcast formula's bits.
+    Grids tie exactly, with a duplicate code after its first copy, and
+    half-integer tokens sit midway between codes. A NaN code is chosen at its
+    first index with a NaN error; a token whose codes are all infinite takes
+    the first, with an infinite error. Codes sit 5 bytes off alignment, as a
+    mapped pool's do."""
+    rng = np.random.default_rng(25)
+    T, K = 7, 6
+    shape = (M, 1 if shared else T, K, d)
+    if data == "grid":
+        codes = rng.integers(-2, 3, size=shape).astype(float)
+        codes[:, :, 3] = codes[:, :, 1]
+        tokens = rng.integers(-3, 4, size=(T, d)) + 0.5 * rng.integers(0, 2, size=(T, d))
+    else:
+        codes, tokens = rng.standard_normal(shape), rng.standard_normal((T, d))
+    books = codes.reshape(-1, K, d)  # 1, 3, 7 or 21 codebooks
+    if data == "non-finite":
+        books[0, [2, 4], 0] = np.nan
+        books[-1, 1, -1], books[-1, 3, 0] = np.inf, -np.inf
+        books[1:2] = np.inf  # every code of the second codebook, if there is one
+    want = broadcast_difference_search(tokens, codes)
+    if data == "grid":
+        assert not (want[0] == 3).any()  # the later duplicate is never chosen
+    if data == "non-finite":
+        assert want[0][0, 0] == 2 and np.isnan(want[1][0, 0])
+        if len(books) > 1:
+            m, t = divmod(1, shape[1])
+            assert want[0][m, t] == 0 and want[1][m, t] == np.inf
+    unaligned = np.frombuffer(bytes(5) + codes.tobytes(), offset=5).reshape(codes.shape)
+    monkeypatch.setattr(quantizer, "_pool", None)
+    try:
+        for workers, c in itertools.product((1, 2, 3), (codes, unaligned)):
+            monkeypatch.setattr(quantizer, "_WORKERS", workers)
+            # all T = 7 tokens in one slice, and slices of 1, 2 and 3 tokens:
+            # the last two leave a short last slice
+            for per_slice in (T, 1, 2, 3):
+                monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 8 * (M + 1) * K * d * workers * per_slice)
+                for got, w in zip(quantizer._difference_search(tokens, c), want):
+                    assert got.shape == (M, T)
+                    assert np.array_equal(got, w, equal_nan=True)
+    finally:
+        if quantizer._pool is not None:
+            quantizer._pool.shutdown()
+
+
+SEARCH_DIGEST = """
+import hashlib, sys
+import numpy as np
+from stscq import quantizer
+indices, errors = quantizer._difference_search(np.load(sys.argv[1]), np.load(sys.argv[2]))
+print(hashlib.sha256(indices.tobytes() + errors.tobytes()).hexdigest())
+"""
+
+
+def _dispatched_targets():
+    """The SIMD targets above its baseline that numpy dispatches to on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in getattr(umath, "__cpu_dispatch__", []) if umath.__cpu_features__.get(t)]
+
+
+@pytest.mark.skipif(not _dispatched_targets(), reason="numpy dispatches to no SIMD target above its baseline here")
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_difference_search_is_the_same_bits_under_baseline_simd(tmp_path, d):
+    """numpy picks its subtract, einsum and argmin loops by the CPU's SIMD
+    features at import; with every dispatched target disabled, one image's
+    indices and errors must be the same bits."""
+    rng = np.random.default_rng(26)
+    tokens, codes = rng.standard_normal((16, d)), rng.standard_normal((4, 16, 64, d))
+    np.save(tmp_path / "tokens.npy", tokens)
+    np.save(tmp_path / "codes.npy", codes)
+    indices, errors = quantizer._difference_search(tokens, codes)
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_dispatched_targets()))
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(stscq.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    args = [str(tmp_path / "tokens.npy"), str(tmp_path / "codes.npy")]
+    run = subprocess.run([sys.executable, "-c", SEARCH_DIGEST, *args], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == hashlib.sha256(indices.tobytes() + errors.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_difference_search_allocates_within_its_cap(monkeypatch, workers):
+    """Each worker's buffers (the token repeated K times, the differences and,
+    at d = 8, distances an eighth of their size) are allocated once per call
+    and refilled slice by slice: one call holds at most 1.25 × _CHUNK_BYTES
+    besides its two (M, T) results. Fresh buffers per slice, allocated while
+    the last slice's are still held, would take about twice the cap."""
+    rng = np.random.default_rng(27)
+    M, T, K, d = 4, 32, 1024, 8
+    tokens, codes = rng.standard_normal((T, d)), rng.standard_normal((M, T, K, d))
+    cap = 8 * (M + 1) * K * d * workers * 2  # slices of 2 tokens: 16 on one worker, 8 each on two
+    monkeypatch.setattr(quantizer, "_pool", None)
+    monkeypatch.setattr(quantizer, "_WORKERS", workers)
+    monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
+    quantizer._difference_search(tokens, codes)  # starts the threads
+    tracemalloc.start()
+    try:
+        quantizer._difference_search(tokens, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        if quantizer._pool is not None:
+            quantizer._pool.shutdown()
+    assert peak <= 1.25 * cap + 2 * 8 * M * T
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
