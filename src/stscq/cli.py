@@ -1,4 +1,4 @@
-"""Command-line surface: synth, train, encode, decode, eval, sweep.
+"""Command-line surface: synth, train, encode, decode, eval, sweep, index.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric divergence.
 STSCQ_SEED is the global seed fallback when no --seed is given.
@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifact, bitstream, synth
-from .codebook import load_pool, save_pool
+from . import artifact, bitstream, synth, window
+from .codebook import index_pool, load_pool, save_pool
 from .errors import BadSpec, DivergenceDetected, HeaderMismatch, ShapeMismatch, StscqError
 from .latent import decode as pca_decode
 from .latent import encode as pca_encode
@@ -206,6 +206,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def cmd_index(args) -> int:
+    reason = index_pool(args.pool)
+    if reason:
+        print(f"no window index for {args.pool}: {reason}")
+    else:
+        print(f"wrote {window.index_path(args.pool)}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="stscq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -275,6 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--m-values", type=group_counts, default="1,2,4,8,16")
     pw.add_argument("--out", required=True)
     pw.set_defaults(func=cmd_sweep)
+
+    pi = sub.add_parser("index", help="build or rebuild the window index beside a pool file")
+    pi.add_argument("--pool", required=True)
+    pi.set_defaults(func=cmd_index)
 
     return p
 

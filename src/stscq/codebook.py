@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifact
+from . import artifact, window
 from .errors import HeaderMismatch, RangeViolation, ShapeMismatch, TooFewSamples
 
 POOL_MAGIC = b"STSCQPOOL"
@@ -125,6 +125,18 @@ class CodebookPool:
         self.T = codes.shape[1] if T is None else T
         self.codes = _check_codes(codes, 4, self.T)
         self.frozen = bool(frozen)
+        self._source = None  # (path, os.stat_result) of the file load_pool mapped the codes from
+        self._index = None
+
+    @property
+    def index(self) -> window.WindowIndex | None:
+        """The window index beside the file the codes were loaded from, opened on
+        first use; None when there is none or it was written for another file."""
+        if self._source is not None:
+            path, st = self._source
+            self._index = window.load(path, artifact.fingerprint(st), self.codes.shape, self.frozen)
+            self._source = None
+        return self._index
 
     @property
     def M(self) -> int:
@@ -232,10 +244,13 @@ def utilization(assignments: np.ndarray, K: int) -> UtilizationStats:
 
 
 def save_pool(pool: CodebookPool, path) -> None:
+    """Writes the pool file, then the window index beside it (window.save), or
+    removes an old index when the pool gets none."""
     M, T, K, d = shape = (pool.M, pool.T, pool.K, pool.d)
     flag = _POOL_FLAGS[pool.token_shared, pool.frozen]
     fields = {"version": POOL_VERSION, "M": M, "T": T, "K": K, "d": d, "flag": flag}
     artifact.write(path, POOL_MAGIC, _POOL_HEADER, fields, [np.broadcast_to(pool.codes, shape)])
+    window.save(pool.codes, pool.frozen, path)
 
 
 def _pool_shapes(version, M, T, K, d, flag):
@@ -251,8 +266,9 @@ def _pool_mapped(version, M, T, K, d, flag):
 def load_pool(path) -> CodebookPool:
     """A token-specific pool's codes are a read-only map of the file, so loading
     reads nothing and a decode touches only the rows it gathers. A shared pool is
-    read whole: its copies are checked and one per group is kept."""
-    fields, (codes,) = artifact.read(
+    read whole: its copies are checked and one per group is kept. The window
+    index is not opened here, but on the pool's first search (CodebookPool.index)."""
+    fields, (codes,), st = artifact.read(
         path, POOL_MAGIC, _POOL_HEADER, (POOL_VERSION,), _pool_shapes, mapped=_pool_mapped
     )
     _, _, T, _, _, flag = fields
@@ -261,4 +277,13 @@ def load_pool(path) -> CodebookPool:
         if not (codes == codes[:, :1]).all():
             raise HeaderMismatch("token-shared pool file holds different codebooks per token")
         codes = np.ascontiguousarray(codes[:, :1])
-    return CodebookPool(codes, frozen=frozen, T=T)
+    pool = CodebookPool(codes, frozen=frozen, T=T)
+    pool._source = (path, st)
+    return pool
+
+
+def index_pool(path) -> str | None:
+    """Builds or rebuilds the window index beside the pool file at `path`, for
+    the codes read from it; returns why the pool gets none, or None."""
+    pool = load_pool(path)
+    return window.save(pool.codes, pool.frozen, path, pool._source[1])

@@ -324,7 +324,7 @@ def _pca_shapes(version, patch_size, channels, d):
 
 
 def load_pca(path) -> PcaTransform:
-    (_, patch_size, channels, _), arrays = artifact.read(
+    (_, patch_size, channels, _), arrays, _ = artifact.read(
         path, PCA_MAGIC, _PCA_HEADER, (PCA_VERSION_ENC, PCA_VERSION_DEC), _pca_shapes
     )
     return PcaTransform(patch_size, channels, *arrays)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import window
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup
 from .errors import (BadSpec, DimensionMismatch, HeaderMismatch, IndexOutOfRange, RangeViolation, ShapeMismatch,
                      UntrainedRouter)
@@ -87,27 +88,32 @@ def quantize_one(z: np.ndarray, cb: Codebook) -> tuple[int, float]:
     return int(indices[0, 0, 0]), float(errors[0, 0, 0])
 
 
-def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray, np.ndarray]:
     """Nearest code per (image, group, token): (B, M, T) indices and squared errors.
 
     batch is (B, T, d); codes is (M, T', K, d), where T' = 1 is one codebook
     per group shared by every token. Ties go to the lowest index, and every
     index and error is the one the difference form Σ(z − c)² gives.
 
-    One image is searched by the difference form alone. A batch that shares one
+    One image is searched through `index`, a window.WindowIndex of `codes`,
+    when there is one (_window_search), which then never reads `codes`; else by
+    the difference form alone. A batch that shares one
     codebook across its T tokens (T' = 1) is searched as B·T one-token images,
     so each group's codes meet every token in one product. Otherwise each slice
     of tokens screens every image of the batch with s = ‖c‖² − 2z·c, which is
     ‖z − c‖² − ‖z‖². Codes with s within a rounding margin of the row's minimum
     are the candidates. A row with one candidate takes it, with its error from
     the difference form; a row with several (a tie or a near-tie) or none (a
-    non-finite value) is searched again by the difference form over all K.
-    So the matmul's bits, which vary with the BLAS kernel, only choose
+    non-finite value) is searched again by the difference form over all K
+    (_settle). So the matmul's bits, which vary with the BLAS kernel, only choose
     candidates and never reach an index or an error. Every temporary stays
     within _CHUNK_BYTES, but for the small-K copy of the codes with their
     norms, which takes (d + 1)/d of that.
     """
     B, T, d = batch.shape
+    if B == 1 and index is not None:
+        indices, errors = _window_search(batch[0], index)
+        return indices[None], errors[None]
     if B == 1:
         # the screen's pass over the codes would cost one image more than the
         # threaded difference form does (113–136 against 50–106 ms at
@@ -128,7 +134,6 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
     # pairs; at small K the codes' copy with their norms has d + 1 columns
     nt = max(1, min(T, _CHUNK_BYTES // (8 * M * K * d)))
     nb = max(1, _CHUNK_BYTES // (8 * M * max(K, d) * nt))
-    step = max(1, _CHUNK_BYTES // (8 * K * d))  # rows searched again at a time
     # reduce over K along whichever of K and the images is longer: at K=1024
     # over each row's contiguous codes; at K=16 over the code axis laid out
     # outside the groups and images, where one product per token serves every
@@ -155,7 +160,7 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # take read it in place; T' is T here, or T is 1
         c = np.require(codes[:, t : t + nt], requirements="CA")
         nc = c.shape[1]
-        row0 = (np.arange(nc)[:, None] + np.arange(M) * nc)[..., None] * K  # (nt, M, 1): each (token, group)'s first code
+        book = np.arange(nc)[:, None] + np.arange(M) * nc  # (nt, M): each (token, group)'s codebook in c
         norms = np.einsum("mtkd,mtkd->mtk", c, c)
         margin = scale * (np.sqrt(norms.max(initial=0.0)) + z_reach) ** 2
         if not k_inner:
@@ -187,21 +192,151 @@ def search(batch: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray
                     bound += margin
                     candidates = np.less_equal(s, bound, out=s, casting="unsafe")
                     count, idx = (tally @ candidates).reshape(nc, 2, M, n).swapaxes(0, 1)
-            idx = idx.astype(np.intp)
-            # a row with several candidates sums their indices, which may point past
-            # its own codes; clip keeps them inside c, and the row is searched again
-            diff = np.take(c.reshape(-1, d), row0 + idx, axis=0, mode="clip")
-            np.subtract(z[:, None], diff, out=diff)
-            err = np.einsum("tmbd,tmbd->tmb", diff, diff)
-            retry = np.nonzero(count != 1)
-            for r in range(0, len(retry[0]), step):
-                tt, m, bb = (rows[r : r + step] for rows in retry)
-                # the rows as the tokens of one image, each with its own codebook
-                i, e = _difference_search(z[tt, bb], c[m, tt][None])
-                idx[tt, m, bb], err[tt, m, bb] = i[0], e[0]
+            # (token, group, image) rows: a row with one candidate has found it
+            idx, err = _settle(z[:, None], c.reshape(-1, K, d), book[..., None], idx.astype(np.intp), count == 1)
             indices[b : b + nb, :, t : t + nt] = idx.transpose(2, 1, 0)
             errors[b : b + nb, :, t : t + nt] = err.transpose(2, 1, 0)
     return indices, errors
+
+
+def _settle(z, books, book, idx, certified, perm=None) -> tuple[np.ndarray, np.ndarray]:
+    """The exact end of every candidate search: each row's nearest code and its
+    squared error, with the difference form's bits and ties.
+
+    The rows are the positions of the arrays idx and `certified`, and the
+    tokens z (..., d) and the codebook numbers `book` broadcast to them.
+    A row searches codebook books[book] (of (R, K, d)) for its token; idx is
+    a candidate source's position in it. A certified row is one whose source
+    has proved that idx is the difference form's choice over all K: it takes
+    idx and that code's difference-form error. The other rows, whose idx may
+    be any integer, are searched over all K by _block_search, as the tokens
+    of one image. With `perm`, books hold the codes in another order:
+    perm[r·K + k] is the code index at position k of codebook r, the results
+    are code indices, and ties go to the lowest code index, not position.
+    """
+    K, d = books.shape[1:]
+    # clip keeps an uncertified candidate, which may point anywhere, inside books
+    at = book * K + idx
+    diff = np.take(books.reshape(-1, d), at, axis=0, mode="clip")
+    np.subtract(z, diff, out=diff)
+    err = np.einsum("...d,...d->...", diff, diff)
+    if perm is not None:
+        idx = np.take(perm, at, mode="clip").astype(np.intp)
+    retry = np.nonzero(~certified)
+    if len(retry[0]):
+        rows = np.broadcast_to(book, idx.shape)[retry]
+        i, e = _block_search(np.broadcast_to(z, diff.shape)[retry], books, rows[None], perm=perm)
+        idx[retry] = i[0] if perm is None else perm[rows * K + i[0]]
+        err[retry] = e[0]
+    return idx, err
+
+
+def _window_search(tokens: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
+    """One image's (T, d) tokens through a window.WindowIndex: (M, T) code
+    indices and squared errors, the difference form's over all K, bit for bit.
+
+    Each (group, token) row places a window of W sorted codes at the token's
+    rank among its codebook's projections, copies it as one block and takes the
+    difference form over it. Of the codes at the window's minimum, the one with
+    the lowest code index is the row's candidate. The row is certified when
+    neither edge can hide a code as near: each edge is the codebook's own, or
+    the first code past it is farther from the token in projection than the
+    square root of the window's best, with a margin. _settle searches the other
+    rows over all K of the sorted codes. Token slices are split over the worker
+    threads as _difference_search's are. `index.codes` is the only code array read.
+    """
+    T, d = tokens.shape
+    M, _, K, _ = index.codes.shape
+    W = index.W
+    flat = index.codes.reshape(-1, d)
+    first = np.arange(M * T).reshape(M, T) * K  # each codebook's first code in flat
+    pz = np.einsum("mtd,td->mt", index.axes, tokens)
+    # windows are taken as whole blocks of B codes: MARK of them when K and W
+    # are multiples of MARK, else single codes
+    B = window.MARK if K % window.MARK == W % window.MARK == 0 else 1
+    # the marks give each token's rank to within MARK codes; the window centres on it
+    rank = window.MARK * (index.marks <= pz[..., None]).sum(axis=2)
+    start = np.clip((rank - W // 2) // B * B, 0, K - W)
+    j, best = _block_search(tokens, flat.reshape(-1, B, d), (first + start) // B, W // B, index.perm.reshape(-1))
+    # The certificate. With u = ε/2 and γ_n = nu/(1 − nu), a computed projection
+    # of x on the axis p, a dot product of d terms in any order, is off by at
+    # most γ_d Σ|p_i x_i| ≤ γ_d P‖x‖₁, where P = ‖p‖; so are the keys the index
+    # was sorted by. Let c be any code left of the window and c_L the first code
+    # past its left edge, so key(c) ≤ key(c_L). Were c's difference-form distance
+    # no more than the window's best D̂, its exact distance D would be at most
+    # D̂/(1 − γ_{d+2}) (the screen's bound in search), so ‖c‖ ≤ ‖z‖₁ + √D and,
+    # as p·(z − c) ≤ P√D, the computed projections would give
+    #   π(z) − π(c_L) ≤ p·(z − c) + γ_d P(‖z‖₁ + 2‖c_L‖₁ + ‖c‖)
+    #                ≤ P√D̂ (1 + γ_d)(1 + γ_{d+2}) + 2γ_d P(‖z‖₁ + ‖c_L‖₁).
+    # The slack s = 4(d + 2)ε in P̂(√D̂ + s(√D̂ + ‖z‖₁ + ‖c_L‖₁)), P̂ the computed
+    # ‖p‖, is more than twice the (d + 1)ε and dε these factors need, which
+    # covers P̂ against P and the dozen roundings of computing the gap and the
+    # bound. So a gap above it leaves every code left of the window strictly
+    # farther than the window's best in the difference form's own arithmetic;
+    # the right edge is the mirror image. The slack is absolute in ‖z‖₁ and
+    # ‖c_L‖₁: the projections' rounding does not shrink with the distance. A
+    # non-finite distance or bound certifies nothing.
+    edge = np.stack([start - 1, start + W], axis=-1)  # (M, T, 2): the first code past each edge
+    past = flat[first[..., None] + np.clip(edge, 0, K - 1)]  # (M, T, 2, d)
+    gap = np.einsum("mtsd,mtd->mts", past, index.axes) - pz[..., None]
+    gap[..., 0] *= -1
+    r = np.sqrt(best)[..., None]
+    scale = 4 * (d + 2) * _EPS
+    reach = np.sqrt(np.einsum("mtd,mtd->mt", index.axes, index.axes))[..., None] * (
+        r + scale * (r + np.abs(tokens).sum(axis=1)[:, None] + np.abs(past).sum(axis=3)))
+    certified = ((gap > reach) | (edge < 0) | (edge >= K)).all(axis=2)
+    return _settle(tokens, index.codes.reshape(-1, K, d), first // K, start + j, certified, index.perm.reshape(-1))
+
+
+def _block_search(z: np.ndarray, blocks: np.ndarray, at: np.ndarray, span: int = 1,
+                  perm=None) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest code to token z[t] (of (T, d)) among the L = span·B codes of
+    `span` consecutive blocks from blocks[at[g, t]], for each (g, t) of the
+    (G, T) `at`: (G, T) positions among those L codes and squared errors, by the
+    difference form. blocks is a C-contiguous, aligned (N, B, d) array, as
+    np.take copies any other whole. Ties go to the first position, or with
+    `perm`, the code index of each code of the flattened blocks, to the lowest
+    code index.
+
+    Token slices are split over the worker threads as _difference_search's
+    are; each worker allocates its buffers once per call, within _CHUNK_BYTES
+    across all of _WORKERS, and takes each slice's blocks into them.
+    """
+    G, T = at.shape
+    B, d = blocks.shape[1:]
+    L = span * B
+    pos = np.empty((G, T), dtype=np.intp)
+    errors = np.empty((G, T))
+    nt = max(1, _CHUNK_BYTES // (8 * (G + 1) * L * d * _WORKERS))
+
+    def search_tokens(lo: int, hi: int) -> None:
+        n = min(nt, hi - lo)
+        z_buf, diff_buf, dists_buf = np.empty((n, L, d)), np.empty(G * n * L * d), np.empty(G * n * L)
+        for t in range(lo, hi, nt):
+            s = slice(t, min(t + nt, hi))
+            w = s.stop - t
+            diff = diff_buf[: G * w * L * d].reshape(G, w, span, B, d)
+            # "clip" writes straight into out; every block index is in range
+            np.take(blocks, at[:, s, None] + np.arange(span), axis=0, out=diff, mode="clip")
+            diff = diff.reshape(G, w, L, d)
+            # with each token repeated L times, the subtraction runs over
+            # contiguous (L, d) rows, as in _difference_search
+            zr = z_buf[:w]
+            zr[...] = z[s, None]
+            np.subtract(zr, diff, out=diff)
+            dists = dists_buf[: G * w * L].reshape(G, w, L)
+            np.einsum("kd,kd->k", diff.reshape(-1, d), diff.reshape(-1, d), out=dists.reshape(-1))
+            j = dists.argmin(axis=2)  # argmin returns the first minimum
+            best = np.take_along_axis(dists, j[..., None], axis=2)
+            if perm is not None:
+                tied = np.nonzero((dists == best).sum(axis=2) > 1)
+                if len(tied[0]):  # rare: of the codes at the minimum, the lowest code index
+                    codes = perm[at[:, s][tied][:, None] * B + np.arange(L)]
+                    j[tied] = np.where(dists[tied] == best[tied], codes, np.iinfo(codes.dtype).max).argmin(axis=1)
+            pos[:, s], errors[:, s] = j, best[..., 0]
+
+    _over_workers(T, nt, search_tokens)
+    return pos, errors
 
 
 @functools.lru_cache(maxsize=16)
@@ -258,22 +393,28 @@ def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarra
             indices[:, s] = idx.T
             errors[:, s] = dists[np.arange(w)[:, None], groups, idx].T
 
-    slices = -(-T // nt)
-    workers = min(_WORKERS, slices)
-    if workers < 2:
-        search_tokens(0, T)
-    else:
-        # one contiguous range of whole slices per worker, as even as they go
-        ends = [nt * (slices * w // workers) for w in range(workers)] + [T]
-        for done in [_executor().submit(search_tokens, lo, hi) for lo, hi in zip(ends, ends[1:])]:
-            done.result()
+    _over_workers(T, nt, search_tokens)
     return indices, errors
 
 
-def quantize_group(tokens, g: TokenSpecificGroup) -> tuple[np.ndarray, float]:
-    """Per-token nearest-neighbor indices and the summed squared error."""
+def _over_workers(n: int, step: int, work) -> None:
+    """work(lo, hi) over range(n) in slices of `step`: serially for one slice,
+    else one contiguous range of whole slices per worker thread, as even as they go."""
+    slices = -(-n // step)
+    workers = min(_WORKERS, slices)
+    if workers < 2:
+        work(0, n)
+        return
+    ends = [step * (slices * w // workers) for w in range(workers)] + [n]
+    for done in [_executor().submit(work, lo, hi) for lo, hi in zip(ends, ends[1:])]:
+        done.result()
+
+
+def quantize_group(tokens, g: TokenSpecificGroup, index=None) -> tuple[np.ndarray, float]:
+    """Per-token nearest-neighbor indices and the summed squared error; `index`
+    is the window index of g's codes, if there is one."""
     values = _tokens(tokens, (g.T, g.d))
-    indices, errors = search(values[None], g.codes[None])
+    indices, errors = search(values[None], g.codes[None], index)
     return indices[0, 0].astype(np.int64), float(errors[0, 0].sum())
 
 
@@ -282,7 +423,7 @@ def group_errors(batch: np.ndarray, pool: CodebookPool) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 2:
         batch = batch[None]
-    return search(batch, pool.codes)[1].sum(axis=2)
+    return search(batch, pool.codes, pool.index if len(batch) == 1 else None)[1].sum(axis=2)
 
 
 def quantize_routed(tokens, pool: CodebookPool, policy: str = "nn", router=None) -> QuantizedImage:
@@ -298,7 +439,8 @@ def quantize_routed(tokens, pool: CodebookPool, policy: str = "nn", router=None)
     from .router import route_naive
 
     gi = route_naive(tokens, pool)
-    indices, _ = quantize_group(tokens, TokenSpecificGroup(pool.codes[gi], pool.T))
+    index = pool.index and pool.index.group(gi)
+    indices, _ = quantize_group(tokens, TokenSpecificGroup(pool.codes[gi], pool.T), index)
     return QuantizedImage(group_index=gi, indices=indices)
 
 

@@ -190,7 +190,7 @@ def save_router(p: RouterParams, path) -> None:
 
 
 def load_router(path) -> RouterParams:
-    _, arrays = artifact.read(
+    _, arrays, _ = artifact.read(
         path, ROUTER_MAGIC, _ROUTER_HEADER, (ROUTER_VERSION,), lambda version, d, h, M: [(h, d), (h,), (M, h), (M,)]
     )
     return RouterParams(*arrays)

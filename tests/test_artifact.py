@@ -1,4 +1,5 @@
 import os
+import shutil
 import struct
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stscq import artifact
+from stscq import artifact, window
 from stscq.bitstream import StreamHeader, deserialize, serialize
 from stscq.codebook import POOL_MAGIC, CodebookPool, load_pool, save_pool
-from stscq.errors import RangeViolation, StscqError, Truncated
+from stscq.errors import BadMagic, LengthMismatch, RangeViolation, StscqError, Truncated
 from stscq.latent import PcaTransform, load_pca, save_pca
 from stscq.quantizer import QuantizedImage
 from stscq.router import init_router, load_router, save_router
@@ -217,3 +218,110 @@ def test_rewrite_creates_a_new_file_with_the_umask_mode(tmp_path):
         os.umask(umask)
     assert (tmp_path / "new").read_bytes() == b"abc"
     assert (tmp_path / "new").stat().st_mode & 0o777 == 0o640
+
+
+def test_arrays_of_other_dtypes_round_trip_aligned(tmp_path):
+    """A header of 8 bytes, then float64s before uint16s: every array starts at a
+    multiple of its item size, mapped or read whole; only floats must be finite."""
+    path = tmp_path / "typed"
+    a, b = np.arange(6.0).reshape(2, 3), np.array([65535, 0, 7], dtype=np.uint16)
+    artifact.write(path, b"TYPED", "<BH", {"version": 1, "n": 3}, [a, b], ["<f8", "<u2"])
+    assert path.stat().st_size == 8 + 6 * 8 + 3 * 2
+    for mapped in (None, lambda *fields: True):
+        _, (ra, rb), st = artifact.read(path, b"TYPED", "<BH", (1,), lambda v, n: [(2, n), (n,)], mapped=mapped,
+                                        dtypes=lambda v, n: ["<f8", "<u2"])
+        assert ra.dtype == np.float64 and rb.dtype == np.uint16 and ra.flags.aligned and rb.flags.aligned
+        assert np.array_equal(ra, a) and np.array_equal(rb, b)
+        assert artifact.fingerprint(st) == artifact.fingerprint(os.stat(path))
+    artifact.write(path, b"TYPED", "<BH", {"version": 1, "n": 3}, [a + np.nan, b], ["<f8", "<u2"])
+    with pytest.raises(RangeViolation, match="non-finite"):
+        artifact.read(path, b"TYPED", "<BH", (1,), lambda v, n: [(2, n), (n,)], dtypes=lambda v, n: ["<f8", "<u2"])
+
+
+def _indexed_pool(tmp_path, name="a.pool"):
+    """A frozen token-specific pool at the smallest K that gets a window index, saved with it."""
+    codes = np.random.default_rng(8).standard_normal((2, 3, window.MIN_K, 2))
+    save_pool(CodebookPool(codes, frozen=True), tmp_path / name)
+    return tmp_path / name, codes
+
+
+def test_save_pool_writes_the_index_beside_the_pool(tmp_path):
+    """The .pidx holds the pool's shape, W = K/4 and the pool file's fingerprint;
+    its sorted codes, mapped through the permutation, are the pool's, in the
+    order of their projections on the axis; and load_pool does not open it."""
+    path, codes = _indexed_pool(tmp_path)
+    pidx = tmp_path / "a.pool.pidx"
+    fields = artifact.unpack_header(pidx.read_bytes(), window.PIDX_MAGIC, window._PIDX_HEADER, (1,))
+    M, T, K, d = codes.shape
+    assert fields[1:] == (M, T, K, d, K // 4, *artifact.fingerprint(os.stat(path)))
+    # 48 header bytes, the sorted codes, the marks, the axes and a 2-byte permutation
+    assert pidx.stat().st_size == 48 + 8 * M * T * (K * d + -(-K // 16) + d) + 2 * M * T * K
+    pool = load_pool(path)
+    assert pool._index is None  # not opened until the first search
+    index = pool.index
+    assert index.perm.dtype == np.uint16 and index.W == K // 4
+    restored = np.empty_like(codes)
+    np.put_along_axis(restored, index.perm[..., None].astype(np.intp), index.codes, axis=2)
+    assert np.array_equal(restored, codes)
+    keys = np.einsum("mtkd,mtd->mtk", index.codes, index.axes)
+    assert (np.diff(keys, axis=2) >= 0).all()
+    assert np.array_equal(index.marks, keys[..., ::window.MARK])
+
+
+@pytest.mark.parametrize("codes", ["K=16", "T'=1", "not frozen"])
+def test_pools_that_get_no_index(tmp_path, codes):
+    rng = np.random.default_rng(9)
+    pool = {"K=16": CodebookPool(rng.standard_normal((2, 3, 16, 2)), frozen=True),
+            "T'=1": CodebookPool(rng.standard_normal((2, 1, window.MIN_K, 2)), frozen=True, T=3),
+            "not frozen": CodebookPool(rng.standard_normal((2, 3, window.MIN_K, 2)))}[codes]
+    save_pool(pool, tmp_path / "a.pool")
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pool"]
+    assert load_pool(tmp_path / "a.pool").index is None
+
+
+@pytest.mark.parametrize("fault, error", [("magic", BadMagic), ("header", Truncated), ("cut", Truncated),
+                                          ("trailing", LengthMismatch)])
+def test_a_broken_index_is_a_typed_error_on_the_first_search(tmp_path, fault, error):
+    path, _ = _indexed_pool(tmp_path)
+    pidx = tmp_path / "a.pool.pidx"
+    raw = pidx.read_bytes()
+    pidx.write_bytes({"magic": b"X" + raw[1:], "header": raw[:20], "cut": raw[:-1], "trailing": raw + b"\0"}[fault])
+    pool = load_pool(path)  # loading never opens it
+    with pytest.raises(error):
+        pool.index
+
+
+def test_an_index_written_for_another_file_is_ignored(tmp_path):
+    """Re-saving the pool makes a new file, and a copy is another file: an index
+    with the old file's fingerprint is ignored, not trusted."""
+    path, codes = _indexed_pool(tmp_path)
+    pidx = tmp_path / "a.pool.pidx"
+    old = pidx.read_bytes()
+    save_pool(CodebookPool(codes, frozen=True), path)
+    assert load_pool(path).index is not None
+    pidx.write_bytes(old)
+    assert load_pool(path).index is None
+    (tmp_path / "copy").mkdir()
+    save_pool(CodebookPool(codes, frozen=True), path)
+    for name in ("a.pool", "a.pool.pidx"):
+        shutil.copy2(tmp_path / name, tmp_path / "copy" / name)
+    assert load_pool(tmp_path / "copy" / "a.pool").index is None
+    assert load_pool(path).index is not None
+
+
+def test_saving_through_a_symlink_writes_the_index_beside_the_target(tmp_path):
+    target, link = tmp_path / "a.pool", tmp_path / "link.pool"
+    link.symlink_to(target.name)
+    _indexed_pool(tmp_path, "link.pool")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.pool", "a.pool.pidx", "link.pool"]
+    assert load_pool(link).index is not None and load_pool(target).index is not None
+
+
+def test_a_failed_index_save_leaves_no_temporary(tmp_path, monkeypatch):
+    """The disk fills while the index is written, after its sorted codes: the
+    pool file stands, and neither the index nor its temporary file does."""
+    build = window.build
+    monkeypatch.setattr(window, "build", lambda codes: (_FailsOnWrite(), *build(codes)[1:]))
+    with pytest.raises(OSError, match="no space"):
+        _indexed_pool(tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pool"]

@@ -770,3 +770,80 @@ def test_token_files_survive_truncation_and_bit_flips(numpy_files, trained, kind
         resaved = io.BytesIO()
         np.save(resaved, loaded)
         assert (np.array_equal(loaded, tokens[0]) and loaded.dtype == tokens.dtype) or resaved.getvalue() == raw
+
+
+@pytest.fixture
+def indexed_files(tmp_path):
+    """A frozen T=16 pool at the smallest K that gets a window index, saved with it, and a token file."""
+    from stscq.codebook import CodebookPool, save_pool
+    from stscq.window import MIN_K
+
+    rng = np.random.default_rng(3)
+    save_pool(CodebookPool(rng.standard_normal((2, 16, MIN_K, 4)), frozen=True), tmp_path / "p.pool")
+    np.save(tmp_path / "t.npy", rng.standard_normal((16, 4)))
+    assert (tmp_path / "p.pool.pidx").exists()
+    return tmp_path
+
+
+def encode_tokens(d, pool, out):
+    return run("encode", "--tokens", d / "t.npy", "--pool", pool, "--width", 16, "--height", 16, "--out", out)
+
+
+def test_encode_gives_the_same_bytes_with_a_stale_rebuilt_or_missing_index(indexed_files, capsys):
+    import shutil
+
+    from stscq.codebook import load_pool
+
+    d = indexed_files
+    assert encode_tokens(d, d / "p.pool", d / "indexed.stscq") == 0
+    want = (d / "indexed.stscq").read_bytes()
+    # a copy of the pool and its index is another file: the index is stale, and ignored
+    (d / "copy").mkdir()
+    for name in ("p.pool", "p.pool.pidx"):
+        shutil.copy2(d / name, d / "copy" / name)
+    assert load_pool(d / "copy" / "p.pool").index is None
+    assert encode_tokens(d, d / "copy" / "p.pool", d / "stale.stscq") == 0
+    capsys.readouterr()
+    assert run("index", "--pool", d / "copy" / "p.pool") == 0
+    assert "wrote" in capsys.readouterr().out
+    assert load_pool(d / "copy" / "p.pool").index is not None
+    assert encode_tokens(d, d / "copy" / "p.pool", d / "rebuilt.stscq") == 0
+    (d / "p.pool.pidx").unlink()
+    assert encode_tokens(d, d / "p.pool", d / "dense.stscq") == 0
+    for name in ("stale.stscq", "rebuilt.stscq", "dense.stscq"):
+        assert (d / name).read_bytes() == want, name
+
+
+@pytest.mark.parametrize("fault", ["magic", "header", "cut", "trailing"])
+def test_encode_with_a_broken_index_is_data_error_and_decode_never_opens_it(indexed_files, capsys, fault):
+    d = indexed_files
+    assert encode_tokens(d, d / "p.pool", d / "ok.stscq") == 0
+    pidx = d / "p.pool.pidx"
+    raw = pidx.read_bytes()
+    pidx.write_bytes({"magic": b"X" + raw[1:], "header": raw[:20], "cut": raw[:-1], "trailing": raw + b"\0"}[fault])
+    capsys.readouterr()
+    assert encode_tokens(d, d / "p.pool", d / "bad.stscq") == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (d / "bad.stscq").exists()
+    assert run("decode", "--stream", d / "ok.stscq", "--pool", d / "p.pool", "--out", d / "back.npy") == 0
+    # rebuilding replaces the broken index
+    assert run("index", "--pool", d / "p.pool") == 0
+    assert encode_tokens(d, d / "p.pool", d / "again.stscq") == 0
+    assert (d / "again.stscq").read_bytes() == (d / "ok.stscq").read_bytes()
+
+
+def test_index_command_exit_codes(indexed_files, capsys):
+    from stscq.codebook import CodebookPool, save_pool
+
+    d = indexed_files
+    assert run("index", "--pool", d / "missing.pool") == 3
+    (d / "cut.pool").write_bytes((d / "p.pool").read_bytes()[:100])
+    assert run("index", "--pool", d / "cut.pool") == 3
+    assert not (d / "cut.pool.pidx").exists()
+    assert "Traceback" not in capsys.readouterr().err
+    # a pool that gets no index: told why, and an old index beside it goes
+    save_pool(CodebookPool(np.zeros((2, 16, 4, 4)), frozen=True), d / "small.pool")
+    (d / "small.pool.pidx").write_bytes((d / "p.pool.pidx").read_bytes())
+    assert run("index", "--pool", d / "small.pool") == 0
+    assert "no window index" in capsys.readouterr().out
+    assert not (d / "small.pool.pidx").exists()

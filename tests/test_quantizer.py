@@ -12,8 +12,13 @@ import numpy as np
 import pytest
 
 import stscq
-from stscq import trainer
-from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific, init_kmeanspp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stscq import trainer, window
+from stscq.bitstream import StreamHeader, serialize
+from stscq.codebook import (Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific, init_kmeanspp,
+                            load_pool, save_pool)
 from stscq.errors import (
     DimensionMismatch,
     HeaderMismatch,
@@ -251,14 +256,15 @@ def test_screened_search_is_the_difference_form_bit_for_bit(monkeypatch, data, s
 
 
 def test_screen_leaves_few_rows_to_the_difference_form(monkeypatch):
+    """_settle searches the screen's uncertified rows over all K with _block_search."""
     rescored = []
-    difference = quantizer._difference_search
+    block_search = quantizer._block_search
 
-    def counting(tokens, codes):
-        rescored.append(len(tokens))
-        return difference(tokens, codes)
+    def counting(z, blocks, at, *args, **kwargs):
+        rescored.append(at.size)
+        return block_search(z, blocks, at, *args, **kwargs)
 
-    monkeypatch.setattr(quantizer, "_difference_search", counting)
+    monkeypatch.setattr(quantizer, "_block_search", counting)
     rng = np.random.default_rng(20)
     B, M, T, K, d = 64, 4, 16, 32, 8
     batch, codes = rng.standard_normal((B, T, d)), rng.standard_normal((M, T, K, d))
@@ -708,3 +714,189 @@ def test_dequantize_rejects_non_finite_codes_it_gathers():
     assert np.isfinite(dequantize(QuantizedImage(0, [1, 1, 1, 1]), pool)).all()
     with pytest.raises(RangeViolation):
         dequantize(QuantizedImage(1, [0, 0, 1, 0]), pool)
+
+
+# --- the window index (window.py) as search's candidate source for one image ---
+
+
+def window_index(codes, W, marks=None):
+    """The WindowIndex that window.save writes for (M, T, K, d) `codes`, in
+    memory, with a window of W codes; `marks` replaces the stored projections,
+    which only place the windows."""
+    built_marks, axes, perm = window.build(codes)
+    ordered = np.take_along_axis(codes, perm[..., None].astype(np.intp), axis=2)
+    return window.WindowIndex(ordered, built_marks if marks is None else marks, axes, perm, W)
+
+
+def window_codes(kind, rng, shape):
+    """Values of one of the search tests' kinds: grids tie exactly, with
+    duplicate codes after their first copies; offset values sit far from the
+    origin, at 1e3 with 1e-6 spreads."""
+    if kind == "normal":
+        return rng.standard_normal(shape)
+    if kind == "offset":
+        return 1e3 + 1e-6 * rng.standard_normal(shape)
+    codes = rng.integers(-2, 3, size=shape).astype(float)
+    codes[:, :, 1::3] = codes[:, :, : len(range(1, shape[2], 3))]  # duplicates, later than their first copies
+    return codes
+
+
+@settings(deadline=None, max_examples=120, derandomize=True)
+@given(
+    kind=st.sampled_from(["normal", "grid", "offset"]),
+    d=st.sampled_from([1, 3, 8]),
+    M=st.integers(1, 3),
+    T=st.integers(1, 7),
+    K=st.sampled_from([5, 17, 40, 64, 96]),
+    W=st.integers(1, 96) | st.sampled_from([16, 32, 48]),
+    workers=st.sampled_from([1, 2]),
+    per_slice=st.sampled_from([1, 2, 64]),
+    seed=st.integers(0, 2**16),
+)
+def test_window_search_is_the_difference_form_bit_for_bit(kind, d, M, T, K, W, workers, per_slice, seed):
+    """Every index and error of a search through the index is the difference
+    form's over all K: ties and duplicate codes, offset codes, windows at both
+    edges of their codebooks, K not a multiple of 16 (single-code windows) and
+    K = 64 or 96 with W a multiple of 16 (windows of 16-code blocks), on one
+    worker or two, in slices of 1, 2 or all tokens. Tokens from grids sit on
+    codes or midway between them; others reach past every code, so some
+    windows sit at a codebook's edge."""
+    rng = np.random.default_rng(seed)
+    W = min(W, K)
+    codes = window_codes(kind, rng, (M, T, K, d))
+    tokens = window_codes(kind, rng, (1, T, d))[0] + (0.5 * rng.integers(0, 2, size=(T, d)) if kind == "grid" else 0)
+    tokens[0] *= 3  # beyond most codes: the window at an edge
+    want = quantizer._difference_search(tokens, codes)
+    index = window_index(codes, W)
+    saved = quantizer._WORKERS, quantizer._CHUNK_BYTES, quantizer._pool
+    quantizer._WORKERS, quantizer._pool = workers, None
+    # per_slice tokens per slice of the fallback; the windows' slices hold K / W times as many
+    quantizer._CHUNK_BYTES = 16 * K * d * workers * per_slice
+    try:
+        got = search(tokens[None], codes, index)
+    finally:
+        if quantizer._pool is not None:
+            quantizer._pool.shutdown()
+        quantizer._WORKERS, quantizer._CHUNK_BYTES, quantizer._pool = saved
+    for g, w in zip(got, want):
+        assert g.shape == (1, M, T)
+        assert np.array_equal(g[0], w)
+
+
+@pytest.mark.parametrize("place", ["left", "right", "middle"])
+def test_window_search_certifies_what_it_can_and_settles_the_rest(monkeypatch, place):
+    """Windows placed at a codebook's left or right edge by marks made for it,
+    or at the tokens' ranks: the result is the difference form's, and with the
+    windows at the ranks most rows are certified by their window alone, as the
+    codes spread mostly along one axis."""
+    rng = np.random.default_rng(40)
+    M, T, K, d, W = 2, 6, 40, 3, 16
+    spread = np.array([10.0, 1.0, 1.0])
+    codes, tokens = rng.standard_normal((M, T, K, d)) * spread, rng.standard_normal((T, d)) * spread
+    marks = {"left": np.inf, "right": -np.inf, "middle": None}[place]
+    index = window_index(codes, W, None if marks is None else np.full((M, T, 3), marks))
+    settled = []
+    settle = quantizer._settle
+
+    def spying(z, books, book, idx, certified, perm=None):
+        settled.append((idx.copy(), certified.copy()))
+        return settle(z, books, book, idx, certified, perm)
+
+    monkeypatch.setattr(quantizer, "_settle", spying)
+    got = search(tokens[None], codes, index)
+    for g, w in zip(got, quantizer._difference_search(tokens, codes)):
+        assert np.array_equal(g[0], w)
+    ((candidates, certified),) = settled
+    if place == "middle":
+        assert certified.mean() > 0.5
+    else:  # every candidate lies in the window at the edge
+        assert ((candidates < W) if place == "left" else (candidates >= K - W)).all()
+
+
+def test_a_lower_index_duplicate_just_past_the_window_is_not_missed(monkeypatch):
+    """Code 30 duplicates code 14; sorted by value, code 14 sits just left of
+    the window [15, 17), which holds code 30. A token at the value plus 1 is
+    exactly √best from code 14 in projection, so a certificate that took
+    gap ≥ √best would certify the window and return code 30. The strict one,
+    with its margin, leaves the row to the fallback, which returns code 14, the
+    lowest code index at the minimum, as the difference form does."""
+    K, W = 40, 2
+    values = np.arange(K) * 10.0
+    values[30] = values[14]
+    perm = np.argsort(values, kind="stable")  # code 14 at position 14, code 30 at 15
+    keys = values[perm]
+    # axis 1, and the marks of the sorted projections: the token's rank is 16, so the window starts at 15
+    index = window.WindowIndex(keys.reshape(1, 1, K, 1), keys[::16].reshape(1, 1, 3), np.ones((1, 1, 1)),
+                               perm.astype(np.uint16).reshape(1, 1, K), W)
+    codes, token = values.reshape(1, 1, K, 1), np.array([[values[14] + 1]])
+    want = quantizer._difference_search(token, codes)
+    assert want[0][0, 0] == 14 and want[1][0, 0] == 1.0
+    assert token[0, 0] - keys[14] == np.sqrt(want[1][0, 0])  # the gap past the left edge is exactly √best
+    settled = []
+    settle = quantizer._settle
+
+    def spying(z, books, book, idx, certified, perm=None):
+        settled.append(settle(z, books, book, idx.copy(), np.ones_like(certified), perm))  # certified regardless
+        assert idx[0] == 15 and not certified[0]
+        return settle(z, books, book, idx, certified, perm)
+
+    monkeypatch.setattr(quantizer, "_settle", spying)
+    got = search(token[None], codes, index)
+    assert got[0][0, 0, 0] == 14 and got[1][0, 0, 0] == 1.0
+    assert settled[0][0][0] == 30  # what the window alone would have returned
+
+
+@pytest.mark.parametrize("theta", np.linspace(0.1, 1.4, 14))
+def test_the_certificate_margin_covers_the_projections_rounding(theta):
+    """As above, a lower-index duplicate just left of the window, but with codes
+    near 1e3 on an axis p that no float holds exactly, and the token t = 1e-13
+    to 3e-12 from the duplicate along p. The gap in projection is then about
+    √best, give or take the projections' rounding (about 1e-13): without its
+    absolute margin, the certificate took the window's copy in 21 of these 56
+    cases."""
+    K, W = 40, 2
+    p = np.array([np.cos(theta), np.sin(theta)])
+    codes = np.stack([1000 + 10 * np.arange(K), np.full(K, 1000.0)], axis=1)
+    codes[30] = codes[14]
+    keys = np.einsum("kd,d->k", codes, p)
+    perm = np.argsort(keys, kind="stable")  # code 14 at position 14, code 30 at 15: the window starts at 15
+    index = window.WindowIndex(codes[perm].reshape(1, 1, K, 2), keys[perm][::16].reshape(1, 1, 3), p.reshape(1, 1, 2),
+                               perm.astype(np.uint16).reshape(1, 1, K), W)
+    for t in (1e-13, 3e-13, 1e-12, 3e-12):
+        token = (codes[14] + t * p).reshape(1, 2)
+        want = quantizer._difference_search(token, codes.reshape(1, 1, K, 2))
+        assert want[0][0, 0] == 14
+        got = search(token[None], codes.reshape(1, 1, K, 2), index)
+        assert got[0][0, 0, 0] == 14 and got[1][0, 0, 0] == want[1][0, 0]
+
+
+def test_a_pool_with_a_non_finite_code_gets_no_index(tmp_path):
+    codes = np.random.default_rng(41).standard_normal((1, 2, window.MIN_K, 2))
+    save_pool(CodebookPool(codes, frozen=True), tmp_path / "ok.pool")
+    assert (tmp_path / "ok.pool.pidx").exists()
+    codes[0, 1, 7, 0] = np.nan
+    assert window.build(codes) is None
+    save_pool(CodebookPool(codes, frozen=True), tmp_path / "ok.pool")  # over the finite pool: its index goes too
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ok.pool"]
+
+
+def test_encode_reads_only_the_index(tmp_path, monkeypatch):
+    """The index built from real codes, beside a pool whose codes are all NaN:
+    NN encode, both its routing search and the winner's, gives the stream of
+    the dense search over the real codes. Any read of the pool's codes would
+    make a NaN error, or another index."""
+    rng = np.random.default_rng(42)
+    M, T, K, d = 3, 4, window.MIN_K, 2
+    codes = rng.standard_normal((M, T, K, d))
+    save_pool(CodebookPool(codes, frozen=True), tmp_path / "p.pool")
+    index = load_pool(tmp_path / "p.pool").index
+    assert index is not None
+    nan_pool = CodebookPool(np.full_like(codes, np.nan), frozen=True)
+    monkeypatch.setattr(CodebookPool, "index", property(lambda pool: index))
+    header = StreamHeader(M=M, K=K, T=T, width=4 * T, height=4, channels=1)
+    for tokens in rng.standard_normal((4, T, d)):
+        got = quantize_routed(tokens, nan_pool)
+        monkeypatch.setattr(CodebookPool, "index", property(lambda pool: None))
+        want = quantize_routed(tokens, CodebookPool(codes, frozen=True))
+        monkeypatch.setattr(CodebookPool, "index", property(lambda pool: index))
+        assert serialize(got, header) == serialize(want, header)
