@@ -97,7 +97,8 @@ def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray
 
     One image is searched through `index`, a window.WindowIndex of `codes`,
     when there is one (_window_search), which then never reads `codes`; else by
-    the difference form alone. A batch that shares one
+    the difference form alone, over each (group, token)'s whole codebook as one
+    block (_block_search). A batch that shares one
     codebook across its T tokens (T' = 1) is searched as B·T one-token images,
     so each group's codes meet every token in one product. Otherwise each slice
     of tokens screens every image of the batch with s = ‖c‖² − 2z·c, which is
@@ -111,17 +112,16 @@ def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray
     norms, which takes (d + 1)/d of that.
     """
     B, T, d = batch.shape
+    M, Tc, K, _ = codes.shape
     if B == 1 and index is not None:
         indices, errors = _window_search(batch[0], index)
         return indices[None], errors[None]
     if B == 1:
-        # the screen's pass over the codes would cost one image more than the
-        # threaded difference form does (113–136 against 50–106 ms at
-        # M16/T256/K1024 on 2 CPUs, and 60–62 ms in process once the
-        # difference form allocated its buffers once per call)
-        indices, errors = _difference_search(batch[0], codes)
+        # the screen's pass over the codes would cost one image more: 113–136
+        # against 50–106 ms at M16/T256/K1024 on 2 CPUs
+        at = np.arange(M * Tc).reshape(M, Tc).repeat(T // Tc, axis=1)  # (M, T): each (group, token)'s codebook
+        indices, errors = _block_search(batch[0], codes.reshape(-1, K, d), at)
         return indices[None], errors[None]
-    M, Tc, K, _ = codes.shape
     if Tc == 1 and T > 1:
         # C order, as callers sum the errors over T with numpy's pairwise loop
         found = search(batch.reshape(B * T, 1, d), codes)
@@ -243,7 +243,7 @@ def _window_search(tokens: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     the first code past it is farther from the token in projection than the
     square root of the window's best, with a margin. _settle searches the other
     rows over all K of the sorted codes. Token slices are split over the worker
-    threads as _difference_search's are. `index.codes` is the only code array read.
+    threads by _block_search. `index.codes` is the only code array read.
     """
     T, d = tokens.shape
     M, _, K, _ = index.codes.shape
@@ -293,18 +293,25 @@ def _block_search(z: np.ndarray, blocks: np.ndarray, at: np.ndarray, span: int =
     """The nearest code to token z[t] (of (T, d)) among the L = span·B codes of
     `span` consecutive blocks from blocks[at[g, t]], for each (g, t) of the
     (G, T) `at`: (G, T) positions among those L codes and squared errors, by the
-    difference form. blocks is a C-contiguous, aligned (N, B, d) array, as
-    np.take copies any other whole. Ties go to the first position, or with
-    `perm`, the code index of each code of the flattened blocks, to the lowest
-    code index.
+    difference form Σ(z − c)². It searches one image over whole codebooks
+    (B = K), the index's windows and every row _settle searches again. blocks
+    is an (N, B, d) array. Ties go to the first position, or with `perm`, the
+    code index of each code of the flattened blocks, to the lowest code index.
 
-    Token slices are split over the worker threads as _difference_search's
-    are; each worker allocates its buffers once per call, within _CHUNK_BYTES
-    across all of _WORKERS, and takes each slice's blocks into them.
+    Token slices keep the differences and the tokens repeated L times within
+    _CHUNK_BYTES across all of _WORKERS (the distances add 1/d); each worker
+    allocates them once per call and refills them slice by slice. Two or more
+    slices are split over the worker threads, one contiguous range of tokens
+    each; each slice writes its own columns with the same arithmetic, so the
+    bits do not depend on the split.
     """
     G, T = at.shape
     B, d = blocks.shape[1:]
     L = span * B
+    # blocks are taken as bytes: np.take copies an unaligned source whole (a
+    # mapped pool's codes sit 5 bytes off alignment), a uint8 one never
+    source = np.ascontiguousarray(blocks).view(np.uint8)
+    runs = at[..., None] + np.arange(span)  # (G, T, span) block numbers
     pos = np.empty((G, T), dtype=np.intp)
     errors = np.empty((G, T))
     nt = max(1, _CHUNK_BYTES // (8 * (G + 1) * L * d * _WORKERS))
@@ -312,28 +319,29 @@ def _block_search(z: np.ndarray, blocks: np.ndarray, at: np.ndarray, span: int =
     def search_tokens(lo: int, hi: int) -> None:
         n = min(nt, hi - lo)
         z_buf, diff_buf, dists_buf = np.empty((n, L, d)), np.empty(G * n * L * d), np.empty(G * n * L)
+        groups, rows = np.arange(G)[:, None], np.arange(n)
         for t in range(lo, hi, nt):
             s = slice(t, min(t + nt, hi))
             w = s.stop - t
             diff = diff_buf[: G * w * L * d].reshape(G, w, span, B, d)
             # "clip" writes straight into out; every block index is in range
-            np.take(blocks, at[:, s, None] + np.arange(span), axis=0, out=diff, mode="clip")
+            source.take(runs[:, s], axis=0, out=diff.view(np.uint8), mode="clip")
             diff = diff.reshape(G, w, L, d)
             # with each token repeated L times, the subtraction runs over
-            # contiguous (L, d) rows, as in _difference_search
+            # contiguous (L, d) rows instead of d values at a time
             zr = z_buf[:w]
             zr[...] = z[s, None]
             np.subtract(zr, diff, out=diff)
             dists = dists_buf[: G * w * L].reshape(G, w, L)
             np.einsum("kd,kd->k", diff.reshape(-1, d), diff.reshape(-1, d), out=dists.reshape(-1))
             j = dists.argmin(axis=2)  # argmin returns the first minimum
-            best = np.take_along_axis(dists, j[..., None], axis=2)
+            best = dists[groups, rows[:w], j]
             if perm is not None:
-                tied = np.nonzero((dists == best).sum(axis=2) > 1)
+                tied = np.nonzero((dists == best[..., None]).sum(axis=2) > 1)
                 if len(tied[0]):  # rare: of the codes at the minimum, the lowest code index
                     codes = perm[at[:, s][tied][:, None] * B + np.arange(L)]
-                    j[tied] = np.where(dists[tied] == best[tied], codes, np.iinfo(codes.dtype).max).argmin(axis=1)
-            pos[:, s], errors[:, s] = j, best[..., 0]
+                    j[tied] = np.where(dists[tied] == best[tied][:, None], codes, np.iinfo(codes.dtype).max).argmin(axis=1)
+            pos[:, s], errors[:, s] = j, best
 
     _over_workers(T, nt, search_tokens)
     return pos, errors
@@ -345,56 +353,6 @@ def _tally(K: int) -> np.ndarray:
     tally = np.stack([np.ones(K), np.arange(K)])
     tally.flags.writeable = False
     return tally
-
-
-def _difference_search(tokens: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest code to each of one image's (T, d) tokens in each group by the
-    difference form Σ(z − c)² over all K: (M, T) indices and squared errors.
-
-    Tokens are taken in slices so the differences and the tokens repeated K
-    times stay within _CHUNK_BYTES across all of _WORKERS. Each worker
-    allocates them, and the distances (1/d of the differences), once per call
-    and refills them slice by slice. A call with two or more slices splits
-    them over the worker threads, one contiguous range of tokens each (numpy's
-    loops release the GIL); each slice writes its own columns of the results
-    with the same arithmetic, so the bits do not depend on the split.
-    """
-    T, d = tokens.shape
-    M, _, K, _ = codes.shape
-    codes = np.broadcast_to(codes, (M, T, K, d))
-    indices = np.empty((M, T), dtype=np.intp)
-    errors = np.empty((M, T))
-    nt = max(1, _CHUNK_BYTES // (8 * (M + 1) * K * d * _WORKERS))
-
-    def search_tokens(lo: int, hi: int) -> None:
-        # one set of buffers per call and worker, laid out token-major so that
-        # a short last slice is their leading rows, still contiguous: the flat
-        # views below must be views, not copies
-        n = min(nt, hi - lo)
-        z_buf, diff_buf, dists_buf = np.empty((n, K, d)), np.empty((n, M, K, d)), np.empty((n, M, K))
-        groups = np.arange(M)
-        for t in range(lo, hi, nt):
-            s = slice(t, min(t + nt, hi))
-            w = s.stop - t
-            z, diff, dists = z_buf[:w], diff_buf[:w], dists_buf[:w]
-            # with each token repeated K times, the subtraction runs over
-            # contiguous (K, d) rows instead of d values at a time
-            z[...] = tokens[s, None, :]
-            # a mapped pool's codes sit 5 bytes off 8-byte alignment, where numpy
-            # subtracts in a slower loop; copy them into the aligned difference
-            # buffer and subtract in place (the same bits as z - codes)
-            diff[...] = codes[:, s].swapaxes(0, 1)
-            np.subtract(z[:, None], diff, out=diff)
-            # each row's d squares summed as by "mtkd,mtkd->mtk", without the
-            # 4-D iterator
-            rows = diff.reshape(-1, d)
-            np.einsum("kd,kd->k", rows, rows, out=dists.reshape(-1))
-            idx = dists.argmin(axis=2)  # argmin returns the first minimum: lowest index
-            indices[:, s] = idx.T
-            errors[:, s] = dists[np.arange(w)[:, None], groups, idx].T
-
-    _over_workers(T, nt, search_tokens)
-    return indices, errors
 
 
 def _over_workers(n: int, step: int, work) -> None:

@@ -299,7 +299,7 @@ def test_threaded_single_image_search_is_the_serial_one_bit_for_bit(monkeypatch,
     unaligned = np.frombuffer(bytes(5) + codes.tobytes(), offset=5).reshape(codes.shape)
     monkeypatch.setattr(quantizer, "_pool", None)
     monkeypatch.setattr(quantizer, "_WORKERS", 1)
-    wants = [quantizer._difference_search(tokens, codes) for tokens in images]
+    wants = [search(tokens[None], codes) for tokens in images]
     assert quantizer._pool is None  # one slice: no thread
     if data == "grid":
         assert not any((i == 3).any() for i, _ in wants)  # the later duplicate is never chosen
@@ -312,7 +312,7 @@ def test_threaded_single_image_search_is_the_serial_one_bit_for_bit(monkeypatch,
         for per_slice, c in itertools.product((1, 2, 4), (codes, unaligned)):
             monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 8 * (M + 1) * K * d * workers * per_slice)
             for tokens, want in zip(images, wants):
-                for got, w in zip(quantizer._difference_search(tokens, c), want):
+                for got, w in zip(search(tokens[None], c), want):
                     assert np.array_equal(got, w)
     finally:
         sys.setswitchinterval(interval)
@@ -321,8 +321,8 @@ def test_threaded_single_image_search_is_the_serial_one_bit_for_bit(monkeypatch,
         quantizer._pool.shutdown()
 
 
-def broadcast_difference_search(tokens, codes):
-    """_difference_search as one broadcast formula: the (M, T, K, d)
+def broadcast_difference_form(tokens, codes):
+    """One image's search as one broadcast formula: the (M, T, K, d)
     difference, its squares summed by einsum, argmin and take_along_axis."""
     T, d = tokens.shape
     M, _, K, _ = codes.shape
@@ -357,7 +357,7 @@ def test_difference_search_is_the_broadcast_formula_bit_for_bit(monkeypatch, dat
         books[0, [2, 4], 0] = np.nan
         books[-1, 1, -1], books[-1, 3, 0] = np.inf, -np.inf
         books[1:2] = np.inf  # every code of the second codebook, if there is one
-    want = broadcast_difference_search(tokens, codes)
+    want = broadcast_difference_form(tokens, codes)
     if data == "grid":
         assert not (want[0] == 3).any()  # the later duplicate is never chosen
     if data == "non-finite":
@@ -374,9 +374,9 @@ def test_difference_search_is_the_broadcast_formula_bit_for_bit(monkeypatch, dat
             # the last two leave a short last slice
             for per_slice in (T, 1, 2, 3):
                 monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 8 * (M + 1) * K * d * workers * per_slice)
-                for got, w in zip(quantizer._difference_search(tokens, c), want):
-                    assert got.shape == (M, T)
-                    assert np.array_equal(got, w, equal_nan=True)
+                for got, w in zip(search(tokens[None], c), want):
+                    assert got.shape == (1, M, T)
+                    assert np.array_equal(got[0], w, equal_nan=True)
     finally:
         if quantizer._pool is not None:
             quantizer._pool.shutdown()
@@ -386,7 +386,7 @@ SEARCH_DIGEST = """
 import hashlib, sys
 import numpy as np
 from stscq import quantizer
-indices, errors = quantizer._difference_search(np.load(sys.argv[1]), np.load(sys.argv[2]))
+indices, errors = quantizer.search(np.load(sys.argv[1])[None], np.load(sys.argv[2]))
 print(hashlib.sha256(indices.tobytes() + errors.tobytes()).hexdigest())
 """
 
@@ -402,7 +402,7 @@ def _dispatched_targets():
 
 @pytest.mark.skipif(not _dispatched_targets(), reason="numpy dispatches to no SIMD target above its baseline here")
 @pytest.mark.parametrize("d", [3, 8, 16])
-def test_difference_search_is_the_same_bits_under_baseline_simd(tmp_path, d):
+def test_single_image_search_is_the_same_bits_under_baseline_simd(tmp_path, d):
     """numpy picks its subtract, einsum and argmin loops by the CPU's SIMD
     features at import; with every dispatched target disabled, one image's
     indices and errors must be the same bits."""
@@ -410,7 +410,7 @@ def test_difference_search_is_the_same_bits_under_baseline_simd(tmp_path, d):
     tokens, codes = rng.standard_normal((16, d)), rng.standard_normal((4, 16, 64, d))
     np.save(tmp_path / "tokens.npy", tokens)
     np.save(tmp_path / "codes.npy", codes)
-    indices, errors = quantizer._difference_search(tokens, codes)
+    indices, errors = search(tokens[None], codes)
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_dispatched_targets()))
     env["PYTHONPATH"] = os.pathsep.join([str(Path(stscq.__file__).parents[1]), env.get("PYTHONPATH", "")])
     args = [str(tmp_path / "tokens.npy"), str(tmp_path / "codes.npy")]
@@ -420,29 +420,35 @@ def test_difference_search_is_the_same_bits_under_baseline_simd(tmp_path, d):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_difference_search_allocates_within_its_cap(monkeypatch, workers):
+def test_single_image_search_allocates_within_its_cap(monkeypatch, workers):
     """Each worker's buffers (the token repeated K times, the differences and,
     at d = 8, distances an eighth of their size) are allocated once per call
     and refilled slice by slice: one call holds at most 1.25 × _CHUNK_BYTES
     besides its two (M, T) results. Fresh buffers per slice, allocated while
-    the last slice's are still held, would take about twice the cap."""
+    the last slice's are still held, would take about twice the cap. Codes 5
+    bytes off alignment, as a mapped pool's are, are taken as they are: a copy
+    of them would be 6 to 13 times the cap."""
     rng = np.random.default_rng(27)
     M, T, K, d = 4, 32, 1024, 8
     tokens, codes = rng.standard_normal((T, d)), rng.standard_normal((M, T, K, d))
+    unaligned = np.frombuffer(bytes(5) + codes.tobytes(), offset=5).reshape(codes.shape)
     cap = 8 * (M + 1) * K * d * workers * 2  # slices of 2 tokens: 16 on one worker, 8 each on two
     monkeypatch.setattr(quantizer, "_pool", None)
     monkeypatch.setattr(quantizer, "_WORKERS", workers)
     monkeypatch.setattr(quantizer, "_CHUNK_BYTES", cap)
-    quantizer._difference_search(tokens, codes)  # starts the threads
-    tracemalloc.start()
     try:
-        quantizer._difference_search(tokens, codes)
-        peak = tracemalloc.get_traced_memory()[1]
+        for c in (codes, unaligned):
+            search(tokens[None], c)  # starts the threads
+            tracemalloc.start()
+            try:
+                search(tokens[None], c)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * cap + 2 * 8 * M * T
     finally:
-        tracemalloc.stop()
         if quantizer._pool is not None:
             quantizer._pool.shutdown()
-    assert peak <= 1.25 * cap + 2 * 8 * M * T
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -455,13 +461,13 @@ def test_a_forked_child_searches_with_threads_of_its_own(monkeypatch):
     monkeypatch.setattr(quantizer, "_pool", None)
     monkeypatch.setattr(quantizer, "_WORKERS", 2)
     monkeypatch.setattr(quantizer, "_CHUNK_BYTES", 1)
-    want = quantizer._difference_search(tokens, codes)
+    want = search(tokens[None], codes)
     assert quantizer._pool is not None
     pid = os.fork()
     if pid == 0:
         code = 2
         try:
-            got = quantizer._difference_search(tokens, codes)
+            got = search(tokens[None], codes)
             code = 0 if all(np.array_equal(g, w) for g, w in zip(got, want)) else 1
         finally:
             os._exit(code)
@@ -766,7 +772,7 @@ def test_window_search_is_the_difference_form_bit_for_bit(kind, d, M, T, K, W, w
     codes = window_codes(kind, rng, (M, T, K, d))
     tokens = window_codes(kind, rng, (1, T, d))[0] + (0.5 * rng.integers(0, 2, size=(T, d)) if kind == "grid" else 0)
     tokens[0] *= 3  # beyond most codes: the window at an edge
-    want = quantizer._difference_search(tokens, codes)
+    want = search(tokens[None], codes)
     index = window_index(codes, W)
     saved = quantizer._WORKERS, quantizer._CHUNK_BYTES, quantizer._pool
     quantizer._WORKERS, quantizer._pool = workers, None
@@ -780,7 +786,7 @@ def test_window_search_is_the_difference_form_bit_for_bit(kind, d, M, T, K, W, w
         quantizer._WORKERS, quantizer._CHUNK_BYTES, quantizer._pool = saved
     for g, w in zip(got, want):
         assert g.shape == (1, M, T)
-        assert np.array_equal(g[0], w)
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("place", ["left", "right", "middle"])
@@ -804,8 +810,8 @@ def test_window_search_certifies_what_it_can_and_settles_the_rest(monkeypatch, p
 
     monkeypatch.setattr(quantizer, "_settle", spying)
     got = search(tokens[None], codes, index)
-    for g, w in zip(got, quantizer._difference_search(tokens, codes)):
-        assert np.array_equal(g[0], w)
+    for g, w in zip(got, search(tokens[None], codes)):
+        assert np.array_equal(g, w)
     ((candidates, certified),) = settled
     if place == "middle":
         assert certified.mean() > 0.5
@@ -829,9 +835,9 @@ def test_a_lower_index_duplicate_just_past_the_window_is_not_missed(monkeypatch)
     index = window.WindowIndex(keys.reshape(1, 1, K, 1), keys[::16].reshape(1, 1, 3), np.ones((1, 1, 1)),
                                perm.astype(np.uint16).reshape(1, 1, K), W)
     codes, token = values.reshape(1, 1, K, 1), np.array([[values[14] + 1]])
-    want = quantizer._difference_search(token, codes)
-    assert want[0][0, 0] == 14 and want[1][0, 0] == 1.0
-    assert token[0, 0] - keys[14] == np.sqrt(want[1][0, 0])  # the gap past the left edge is exactly √best
+    want = search(token[None], codes)
+    assert want[0][0, 0, 0] == 14 and want[1][0, 0, 0] == 1.0
+    assert token[0, 0] - keys[14] == np.sqrt(want[1][0, 0, 0])  # the gap past the left edge is exactly √best
     settled = []
     settle = quantizer._settle
 
@@ -864,10 +870,10 @@ def test_the_certificate_margin_covers_the_projections_rounding(theta):
                                perm.astype(np.uint16).reshape(1, 1, K), W)
     for t in (1e-13, 3e-13, 1e-12, 3e-12):
         token = (codes[14] + t * p).reshape(1, 2)
-        want = quantizer._difference_search(token, codes.reshape(1, 1, K, 2))
-        assert want[0][0, 0] == 14
+        want = search(token[None], codes.reshape(1, 1, K, 2))
+        assert want[0][0, 0, 0] == 14
         got = search(token[None], codes.reshape(1, 1, K, 2), index)
-        assert got[0][0, 0, 0] == 14 and got[1][0, 0, 0] == want[1][0, 0]
+        assert got[0][0, 0, 0] == 14 and got[1][0, 0, 0] == want[1][0, 0, 0]
 
 
 def test_a_pool_with_a_non_finite_code_gets_no_index(tmp_path):
