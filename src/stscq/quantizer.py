@@ -199,7 +199,7 @@ def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray
     return indices, errors
 
 
-def _settle(z, books, book, idx, certified, perm=None) -> tuple[np.ndarray, np.ndarray]:
+def _settle(z, books, book, idx, certified, perm=None, err=None) -> tuple[np.ndarray, np.ndarray]:
     """The exact end of every candidate search: each row's nearest code and its
     squared error, with the difference form's bits and ties.
 
@@ -208,24 +208,27 @@ def _settle(z, books, book, idx, certified, perm=None) -> tuple[np.ndarray, np.n
     A row searches codebook books[book] (of (R, K, d)) for its token; idx is
     a candidate source's position in it. A certified row is one whose source
     has proved that idx is the difference form's choice over all K: it takes
-    idx and that code's difference-form error. The other rows, whose idx may
-    be any integer, are searched over all K by _block_search, as the tokens
-    of one image. With `perm`, books hold the codes in another order:
-    perm[r·K + k] is the code index at position k of codebook r, the results
-    are code indices, and ties go to the lowest code index, not position.
+    idx and that code's difference-form error, or its entry of `err` when the
+    source has already taken that error by the difference form. The other
+    rows, whose idx may be any integer, are searched over all K by
+    _block_search, as the tokens of one image. With `perm`, books hold the
+    codes in another order: perm[r·K + k] is the code index at position k of
+    codebook r, the results are code indices, and ties go to the lowest code
+    index, not position.
     """
     K, d = books.shape[1:]
     # clip keeps an uncertified candidate, which may point anywhere, inside books
     at = book * K + idx
-    diff = np.take(books.reshape(-1, d), at, axis=0, mode="clip")
-    np.subtract(z, diff, out=diff)
-    err = np.einsum("...d,...d->...", diff, diff)
+    if err is None:
+        diff = np.take(books.reshape(-1, d), at, axis=0, mode="clip")
+        np.subtract(z, diff, out=diff)
+        err = np.einsum("...d,...d->...", diff, diff)
     if perm is not None:
         idx = np.take(perm, at, mode="clip").astype(np.intp)
     retry = np.nonzero(~certified)
     if len(retry[0]):
         rows = np.broadcast_to(book, idx.shape)[retry]
-        i, e = _block_search(np.broadcast_to(z, diff.shape)[retry], books, rows[None], perm=perm)
+        i, e = _block_search(np.broadcast_to(z, idx.shape + (d,))[retry], books, rows[None], perm=perm)
         idx[retry] = i[0] if perm is None else perm[rows * K + i[0]]
         err[retry] = e[0]
     return idx, err
@@ -235,29 +238,55 @@ def _window_search(tokens: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     """One image's (T, d) tokens through a window.WindowIndex: (M, T) code
     indices and squared errors, the difference form's over all K, bit for bit.
 
-    Each (group, token) row places a window of W sorted codes at the token's
-    rank among its codebook's projections, copies it as one block and takes the
-    difference form over it. Of the codes at the window's minimum, the one with
-    the lowest code index is the row's candidate. The row is certified when
-    neither edge can hide a code as near: each edge is the codebook's own, or
-    the first code past it is farther from the token in projection than the
-    square root of the window's best, with a margin. _settle searches the other
-    rows over all K of the sorted codes. Token slices are split over the worker
-    threads by _block_search. `index.codes` is the only code array read.
+    Every (group, token) row first searches a window of W sorted codes at the
+    token's rank among its codebook's projections (_window_pass). The rows it
+    does not certify search a window twice as wide at the same rank, and so on
+    while the width stays below K; _settle searches the rows that are left over
+    all K of the sorted codes, and takes each certified row's error from its
+    window. Each pass splits its token slices over the worker threads in
+    _block_search. `index.codes` is the only code array read.
     """
     T, d = tokens.shape
     M, _, K, _ = index.codes.shape
-    W = index.W
-    flat = index.codes.reshape(-1, d)
-    first = np.arange(M * T).reshape(M, T) * K  # each codebook's first code in flat
+    books = index.codes.reshape(-1, K, d)
+    book = np.arange(M * T).reshape(M, T)  # each row's codebook in books
+    perm = index.perm.reshape(-1)
     pz = np.einsum("mtd,td->mt", index.axes, tokens)
-    # windows are taken as whole blocks of B codes: MARK of them when K and W
-    # are multiples of MARK, else single codes
-    B = window.MARK if K % window.MARK == W % window.MARK == 0 else 1
-    # the marks give each token's rank to within MARK codes; the window centres on it
+    # the marks give each token's rank to within MARK codes; every window centres on it
     rank = window.MARK * (index.marks <= pz[..., None]).sum(axis=2)
-    start = np.clip((rank - W // 2) // B * B, 0, K - W)
-    j, best = _block_search(tokens, flat.reshape(-1, B, d), (first + start) // B, W // B, index.perm.reshape(-1))
+    idx, err, certified = _window_pass(tokens, books, book, index.axes, pz, rank, index.W, perm)
+    width, rows = 2 * index.W, np.nonzero(~certified)
+    while width < K and len(rows[0]):
+        pos, e, c = _window_pass(tokens[rows[1]], books, book[rows][None], index.axes[rows][None], pz[rows][None],
+                                 rank[rows][None], width, perm)
+        idx[rows], err[rows], certified[rows] = pos[0], e[0], c[0]
+        width, rows = 2 * width, tuple(r[~c[0]] for r in rows)
+    return _settle(tokens, books, book, idx, certified, perm, err)
+
+
+def _window_pass(z, books, book, axes, pz, rank, width: int, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One window of `width` sorted codes per row of the (G, n) arrays book,
+    pz and rank: (G, n) positions in the row's codebook, squared errors, and
+    whether each is certified as the difference form's over all K.
+
+    A row searches codebook books[book] (of (R, K, d), sorted by projection on
+    the row's axis, axes (G, n, d)) for token z[t] (of (n, d)); pz is the
+    token's projection and rank its position among the sorted projections.
+    The window centres on the rank, is copied as one block and searched by the
+    difference form; of the codes at its minimum, the one with the lowest code
+    index, perm (flat) of the flattened books, is the row's candidate. The row
+    is certified when neither edge can hide a code as near: each edge is the
+    codebook's own, or the first code past it is farther from the token in
+    projection than the square root of the window's best, with a margin.
+    """
+    K, d = books.shape[1:]
+    flat = books.reshape(-1, d)
+    first = book * K  # each row's first code in flat
+    # windows are taken as whole blocks of B codes: MARK of them when K and the
+    # width are multiples of MARK, else single codes
+    B = window.MARK if K % window.MARK == width % window.MARK == 0 else 1
+    start = np.clip((rank - width // 2) // B * B, 0, K - width)
+    j, best = _block_search(z, flat.reshape(-1, B, d), (first + start) // B, width // B, perm)
     # The certificate. With u = ε/2 and γ_n = nu/(1 − nu), a computed projection
     # of x on the axis p, a dot product of d terms in any order, is off by at
     # most γ_d Σ|p_i x_i| ≤ γ_d P‖x‖₁, where P = ‖p‖; so are the keys the index
@@ -276,16 +305,16 @@ def _window_search(tokens: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     # the right edge is the mirror image. The slack is absolute in ‖z‖₁ and
     # ‖c_L‖₁: the projections' rounding does not shrink with the distance. A
     # non-finite distance or bound certifies nothing.
-    edge = np.stack([start - 1, start + W], axis=-1)  # (M, T, 2): the first code past each edge
-    past = flat[first[..., None] + np.clip(edge, 0, K - 1)]  # (M, T, 2, d)
-    gap = np.einsum("mtsd,mtd->mts", past, index.axes) - pz[..., None]
+    edge = np.stack([start - 1, start + width], axis=-1)  # (G, n, 2): the first code past each edge
+    past = flat[first[..., None] + np.clip(edge, 0, K - 1)]  # (G, n, 2, d)
+    gap = np.einsum("gnsd,gnd->gns", past, axes) - pz[..., None]
     gap[..., 0] *= -1
     r = np.sqrt(best)[..., None]
     scale = 4 * (d + 2) * _EPS
-    reach = np.sqrt(np.einsum("mtd,mtd->mt", index.axes, index.axes))[..., None] * (
-        r + scale * (r + np.abs(tokens).sum(axis=1)[:, None] + np.abs(past).sum(axis=3)))
+    reach = np.sqrt(np.einsum("gnd,gnd->gn", axes, axes))[..., None] * (
+        r + scale * (r + np.abs(z).sum(axis=1)[:, None] + np.abs(past).sum(axis=3)))
     certified = ((gap > reach) | (edge < 0) | (edge >= K)).all(axis=2)
-    return _settle(tokens, index.codes.reshape(-1, K, d), first // K, start + j, certified, index.perm.reshape(-1))
+    return start + j, best, certified
 
 
 def _block_search(z: np.ndarray, blocks: np.ndarray, at: np.ndarray, span: int = 1,

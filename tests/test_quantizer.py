@@ -385,9 +385,10 @@ def test_difference_search_is_the_broadcast_formula_bit_for_bit(monkeypatch, dat
 SEARCH_DIGEST = """
 import hashlib, sys
 import numpy as np
-from stscq import quantizer
-indices, errors = quantizer.search(np.load(sys.argv[1])[None], np.load(sys.argv[2]))
-print(hashlib.sha256(indices.tobytes() + errors.tobytes()).hexdigest())
+from stscq import quantizer, window
+tokens, codes, *index = (np.load(a) for a in sys.argv[1:])
+for found in quantizer.search(tokens[None], codes), quantizer.search(tokens[None], codes, window.WindowIndex(*index, 16)):
+    print(hashlib.sha256(found[0].tobytes() + found[1].tobytes()).hexdigest())
 """
 
 
@@ -405,18 +406,28 @@ def _dispatched_targets():
 def test_single_image_search_is_the_same_bits_under_baseline_simd(tmp_path, d):
     """numpy picks its subtract, einsum and argmin loops by the CPU's SIMD
     features at import; with every dispatched target disabled, one image's
-    indices and errors must be the same bits."""
+    indices and errors must be the same bits, searched densely and through a
+    window index built here (W = 16 of K = 64). The codes spread 4 times as
+    far along their first axis, so at each d some rows are certified by the
+    first window, some by the doubled one and some only by the all-K search."""
     rng = np.random.default_rng(26)
     tokens, codes = rng.standard_normal((16, d)), rng.standard_normal((4, 16, 64, d))
-    np.save(tmp_path / "tokens.npy", tokens)
-    np.save(tmp_path / "codes.npy", codes)
-    indices, errors = search(tokens[None], codes)
+    tokens[:, 0] *= 4
+    codes[..., 0] *= 4
+    index = window_index(codes, 16)
+    arrays = {"tokens": tokens, "codes": codes, "ordered": index.codes, "marks": index.marks, "axes": index.axes,
+              "perm": index.perm}
+    for name, a in arrays.items():
+        np.save(tmp_path / f"{name}.npy", a)
+    found = search(tokens[None], codes), search(tokens[None], codes, index)
+    for g, w in zip(*found):
+        assert np.array_equal(g, w)
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_dispatched_targets()))
     env["PYTHONPATH"] = os.pathsep.join([str(Path(stscq.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    args = [str(tmp_path / "tokens.npy"), str(tmp_path / "codes.npy")]
+    args = [str(tmp_path / f"{name}.npy") for name in arrays]
     run = subprocess.run([sys.executable, "-c", SEARCH_DIGEST, *args], env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == hashlib.sha256(indices.tobytes() + errors.tobytes()).hexdigest()
+    assert run.stdout.split() == [hashlib.sha256(i.tobytes() + e.tobytes()).hexdigest() for i, e in found]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -789,34 +800,51 @@ def test_window_search_is_the_difference_form_bit_for_bit(kind, d, M, T, K, W, w
         assert np.array_equal(g, w)
 
 
+def spy_window_passes(monkeypatch):
+    """The (width, positions, errors, certified) of each _window_pass a search makes."""
+    passes = []
+    window_pass = quantizer._window_pass
+
+    def spying(z, books, book, axes, pz, rank, width, perm):
+        found = window_pass(z, books, book, axes, pz, rank, width, perm)
+        passes.append((width, *(a.copy() for a in found)))
+        return found
+
+    monkeypatch.setattr(quantizer, "_window_pass", spying)
+    return passes
+
+
 @pytest.mark.parametrize("place", ["left", "right", "middle"])
 def test_window_search_certifies_what_it_can_and_settles_the_rest(monkeypatch, place):
     """Windows placed at a codebook's left or right edge by marks made for it,
     or at the tokens' ranks: the result is the difference form's, and with the
-    windows at the ranks most rows are certified by their window alone, as the
-    codes spread mostly along one axis."""
+    windows at the ranks most rows are certified by their first window alone,
+    as the codes spread mostly along one axis."""
     rng = np.random.default_rng(40)
     M, T, K, d, W = 2, 6, 40, 3, 16
     spread = np.array([10.0, 1.0, 1.0])
     codes, tokens = rng.standard_normal((M, T, K, d)) * spread, rng.standard_normal((T, d)) * spread
     marks = {"left": np.inf, "right": -np.inf, "middle": None}[place]
     index = window_index(codes, W, None if marks is None else np.full((M, T, 3), marks))
+    passes = spy_window_passes(monkeypatch)
     settled = []
     settle = quantizer._settle
 
-    def spying(z, books, book, idx, certified, perm=None):
+    def spying(z, books, book, idx, certified, perm=None, err=None):
         settled.append((idx.copy(), certified.copy()))
-        return settle(z, books, book, idx, certified, perm)
+        return settle(z, books, book, idx, certified, perm, err)
 
     monkeypatch.setattr(quantizer, "_settle", spying)
     got = search(tokens[None], codes, index)
     for g, w in zip(got, search(tokens[None], codes)):
         assert np.array_equal(g, w)
     ((candidates, certified),) = settled
+    assert [p[0] for p in passes] == [W, 2 * W][: len(passes)]
     if place == "middle":
-        assert certified.mean() > 0.5
-    else:  # every candidate lies in the window at the edge
-        assert ((candidates < W) if place == "left" else (candidates >= K - W)).all()
+        assert passes[0][3].mean() > 0.5 and certified.mean() > 0.5
+    else:  # every pass's candidates lie in its window at the edge
+        for width, positions, _, _ in passes:
+            assert ((positions < width) if place == "left" else (positions >= K - width)).all()
 
 
 def test_a_lower_index_duplicate_just_past_the_window_is_not_missed(monkeypatch):
@@ -824,8 +852,9 @@ def test_a_lower_index_duplicate_just_past_the_window_is_not_missed(monkeypatch)
     the window [15, 17), which holds code 30. A token at the value plus 1 is
     exactly √best from code 14 in projection, so a certificate that took
     gap ≥ √best would certify the window and return code 30. The strict one,
-    with its margin, leaves the row to the fallback, which returns code 14, the
-    lowest code index at the minimum, as the difference form does."""
+    with its margin, leaves the row to the doubled window [14, 18), which holds
+    both copies and returns code 14, the lowest code index at the minimum, as
+    the difference form does."""
     K, W = 40, 2
     values = np.arange(K) * 10.0
     values[30] = values[14]
@@ -838,18 +867,88 @@ def test_a_lower_index_duplicate_just_past_the_window_is_not_missed(monkeypatch)
     want = search(token[None], codes)
     assert want[0][0, 0, 0] == 14 and want[1][0, 0, 0] == 1.0
     assert token[0, 0] - keys[14] == np.sqrt(want[1][0, 0, 0])  # the gap past the left edge is exactly √best
+    passes = spy_window_passes(monkeypatch)
     settled = []
     settle = quantizer._settle
 
-    def spying(z, books, book, idx, certified, perm=None):
-        settled.append(settle(z, books, book, idx.copy(), np.ones_like(certified), perm))  # certified regardless
-        assert idx[0] == 15 and not certified[0]
-        return settle(z, books, book, idx, certified, perm)
+    def spying(z, books, book, idx, certified, perm=None, err=None):
+        _, first, first_err, first_certified = passes[0]
+        assert first[0, 0] == 15 and not first_certified[0, 0]
+        # the first window's candidate, certified regardless
+        settled.append(settle(z, books, book, first, np.ones_like(certified), perm, first_err))
+        return settle(z, books, book, idx, certified, perm, err)
 
     monkeypatch.setattr(quantizer, "_settle", spying)
     got = search(token[None], codes, index)
     assert got[0][0, 0, 0] == 14 and got[1][0, 0, 0] == 1.0
     assert settled[0][0][0] == 30  # what the window alone would have returned
+
+
+def test_a_lower_index_duplicate_just_past_the_doubled_window_is_not_missed(monkeypatch):
+    """Code 30 duplicates code 5, and the token sits at their value plus 1, at
+    sorted position 5 or 6, but its rank among the marks is 16. The first
+    window, [11, 21), holds neither copy and is not certified. The doubled
+    one, [6, 26), holds code 30, and code 5 sits just past its left edge,
+    exactly √best from the token in projection; a second certificate that took
+    gap ≥ √best would return code 30. The strict one leaves the row to _settle
+    (4W = K, so there is no third window), which returns code 5."""
+    K, W = 40, 10
+    values = np.arange(K) * 10.0
+    values[30] = values[5]
+    perm = np.argsort(values, kind="stable")  # code 5 at position 5, code 30 at 6
+    keys = values[perm]
+    index = window.WindowIndex(keys.reshape(1, 1, K, 1), keys[::16].reshape(1, 1, 3), np.ones((1, 1, 1)),
+                               perm.astype(np.uint16).reshape(1, 1, K), W)
+    codes, token = values.reshape(1, 1, K, 1), np.array([[values[5] + 1]])
+    want = search(token[None], codes)
+    assert want[0][0, 0, 0] == 5 and want[1][0, 0, 0] == 1.0
+    assert token[0, 0] - keys[5] == np.sqrt(want[1][0, 0, 0])  # the gap past the doubled window's edge is √best
+    passes = spy_window_passes(monkeypatch)
+    settled = []
+    settle = quantizer._settle
+
+    def spying(z, books, book, idx, certified, perm=None, err=None):
+        settled.append((idx.copy(), certified.copy()))
+        return settle(z, books, book, idx, certified, perm, err)
+
+    monkeypatch.setattr(quantizer, "_settle", spying)
+    got = search(token[None], codes, index)
+    assert [(width, pos.item(), ok.item()) for width, pos, _, ok in passes] == [(W, 11, False), (2 * W, 6, False)]
+    ((candidate, certified),) = settled
+    assert candidate[0, 0] == 6 and not certified[0, 0]
+    assert got[0][0, 0, 0] == 5 and got[1][0, 0, 0] == 1.0
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def test_each_row_is_settled_by_the_narrowest_window_that_certifies_it(monkeypatch):
+    """Codes along x = 0..127 with a little spread in y, so the principal axis
+    is x, and tokens at x = 72 whose distance |y| from the axis sets how wide
+    a window must be to certify them. The first window (W = 32) and the doubled
+    one reach about 8 and 24 codes past the token; |y| below 8 is certified by
+    the first, between 8 and 24 only by the doubled one, and above 24 by
+    neither, and 4W = K leaves those rows to the all-K search. Every index and
+    error is the dense search's, bit for bit."""
+    rng = np.random.default_rng(43)
+    M, T, K, d, W = 2, 6, 128, 2, 32
+    codes = np.stack(np.broadcast_arrays(np.arange(K, dtype=float), 0.01 * rng.standard_normal((M, T, K))), axis=-1)
+    tokens = np.stack([np.full(T, 72.0), [0.5, -3.0, 14.0, -16.0, 35.0, -60.0]], axis=-1)
+    want = search(tokens[None], codes)
+    index = window_index(codes, W)
+    searched = []
+    block_search = quantizer._block_search
+
+    def counting(z, blocks, at, span=1, perm=None):
+        searched.append((at.size, span * blocks.shape[1]))
+        return block_search(z, blocks, at, span, perm)
+
+    monkeypatch.setattr(quantizer, "_block_search", counting)
+    got = search(tokens[None], codes, index)
+    # (rows, codes per row): every row, the rows the first window left, then the rows neither window certified;
+    # two tokens of each group in each tier
+    assert searched == [(M * T, W), (4 * M, 2 * W), (2 * M, K)]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("theta", np.linspace(0.1, 1.4, 14))
