@@ -7,6 +7,7 @@ STSCQ_SEED is the global seed fallback when no --seed is given.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import fields, replace
@@ -165,7 +166,9 @@ def cmd_decode(args) -> int:
         write_pnm(img, args.out)
         print(f"wrote {args.out}: {header.width}x{header.height} image")
     else:
-        np.save(args.out, tokens)
+        npy = io.BytesIO()  # np.save to a path would append .npy to a name without it
+        np.save(npy, tokens)
+        artifact.rewrite(args.out, npy.getbuffer())
         print(f"wrote {args.out}: {tokens.shape} token matrix")
     return EXIT_OK
 

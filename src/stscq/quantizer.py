@@ -81,10 +81,9 @@ def _token_corpus(corpus, pool: CodebookPool) -> np.ndarray:
 
 def quantize_one(z: np.ndarray, cb: Codebook) -> tuple[int, float]:
     """Index of the nearest code and the attained squared distance."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (cb.d,):
-        raise DimensionMismatch(f"vector of dim {z.shape} vs codebook dim {cb.d}")
-    indices, errors = search(z[None, None], cb.codes[None, None])
+    if np.shape(z) != (cb.d,):
+        raise DimensionMismatch(f"vector of dim {np.shape(z)} vs codebook dim {cb.d}")
+    indices, errors = search(_tokens(z, (cb.d,))[None, None], cb.codes[None, None])
     return int(indices[0, 0, 0]), float(errors[0, 0, 0])
 
 
@@ -199,38 +198,28 @@ def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray
     return indices, errors
 
 
-def _settle(z, books, book, idx, certified, perm=None, err=None) -> tuple[np.ndarray, np.ndarray]:
-    """The exact end of every candidate search: each row's nearest code and its
+def _settle(z, books, book, idx, certified) -> tuple[np.ndarray, np.ndarray]:
+    """The exact end of the batch screen: each row's nearest code and its
     squared error, with the difference form's bits and ties.
 
     The rows are the positions of the arrays idx and `certified`, and the
     tokens z (..., d) and the codebook numbers `book` broadcast to them.
     A row searches codebook books[book] (of (R, K, d)) for its token; idx is
-    a candidate source's position in it. A certified row is one whose source
-    has proved that idx is the difference form's choice over all K: it takes
-    idx and that code's difference-form error, or its entry of `err` when the
-    source has already taken that error by the difference form. The other
+    the screen's candidate in it. A certified row, one with a single
+    candidate, takes idx and that code's difference-form error. The other
     rows, whose idx may be any integer, are searched over all K by
-    _block_search, as the tokens of one image. With `perm`, books hold the
-    codes in another order: perm[r·K + k] is the code index at position k of
-    codebook r, the results are code indices, and ties go to the lowest code
-    index, not position.
+    _block_search, as the tokens of one image.
     """
     K, d = books.shape[1:]
     # clip keeps an uncertified candidate, which may point anywhere, inside books
-    at = book * K + idx
-    if err is None:
-        diff = np.take(books.reshape(-1, d), at, axis=0, mode="clip")
-        np.subtract(z, diff, out=diff)
-        err = np.einsum("...d,...d->...", diff, diff)
-    if perm is not None:
-        idx = np.take(perm, at, mode="clip").astype(np.intp)
+    diff = np.take(books.reshape(-1, d), book * K + idx, axis=0, mode="clip")
+    np.subtract(z, diff, out=diff)
+    err = np.einsum("...d,...d->...", diff, diff)
     retry = np.nonzero(~certified)
     if len(retry[0]):
         rows = np.broadcast_to(book, idx.shape)[retry]
-        i, e = _block_search(np.broadcast_to(z, idx.shape + (d,))[retry], books, rows[None], perm=perm)
-        idx[retry] = i[0] if perm is None else perm[rows * K + i[0]]
-        err[retry] = e[0]
+        i, e = _block_search(np.broadcast_to(z, idx.shape + (d,))[retry], books, rows[None])
+        idx[retry], err[retry] = i[0], e[0]
     return idx, err
 
 
@@ -240,11 +229,10 @@ def _window_search(tokens: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
 
     Every (group, token) row first searches a window of W sorted codes at the
     token's rank among its codebook's projections (_window_pass). The rows it
-    does not certify search a window twice as wide at the same rank, and so on
-    while the width stays below K; _settle searches the rows that are left over
-    all K of the sorted codes, and takes each certified row's error from its
-    window. Each pass splits its token slices over the worker threads in
-    _block_search. `index.codes` is the only code array read.
+    does not certify search a window twice as wide at the same rank, and so on;
+    the last width is all K, a window whose edges are its codebook's own, so it
+    certifies every row it gets. Each pass splits its token slices over the
+    worker threads in _block_search. `index.codes` is the only code array read.
     """
     T, d = tokens.shape
     M, _, K, _ = index.codes.shape
@@ -255,13 +243,13 @@ def _window_search(tokens: np.ndarray, index) -> tuple[np.ndarray, np.ndarray]:
     # the marks give each token's rank to within MARK codes; every window centres on it
     rank = window.MARK * (index.marks <= pz[..., None]).sum(axis=2)
     idx, err, certified = _window_pass(tokens, books, book, index.axes, pz, rank, index.W, perm)
-    width, rows = 2 * index.W, np.nonzero(~certified)
-    while width < K and len(rows[0]):
+    width, rows = min(2 * index.W, K), np.nonzero(~certified)
+    while len(rows[0]):
         pos, e, c = _window_pass(tokens[rows[1]], books, book[rows][None], index.axes[rows][None], pz[rows][None],
                                  rank[rows][None], width, perm)
-        idx[rows], err[rows], certified[rows] = pos[0], e[0], c[0]
-        width, rows = 2 * width, tuple(r[~c[0]] for r in rows)
-    return _settle(tokens, books, book, idx, certified, perm, err)
+        idx[rows], err[rows] = pos[0], e[0]
+        width, rows = min(2 * width, K), tuple(r[~c[0]] for r in rows)
+    return perm[book * K + idx].astype(np.intp), err
 
 
 def _window_pass(z, books, book, axes, pz, rank, width: int, perm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,9 +311,10 @@ def _block_search(z: np.ndarray, blocks: np.ndarray, at: np.ndarray, span: int =
     `span` consecutive blocks from blocks[at[g, t]], for each (g, t) of the
     (G, T) `at`: (G, T) positions among those L codes and squared errors, by the
     difference form Σ(z − c)². It searches one image over whole codebooks
-    (B = K), the index's windows and every row _settle searches again. blocks
-    is an (N, B, d) array. Ties go to the first position, or with `perm`, the
-    code index of each code of the flattened blocks, to the lowest code index.
+    (B = K), every window of the index, the last of which is all K wide, and
+    every row the batch screen leaves to _settle. blocks is an (N, B, d)
+    array. Ties go to the first position, or with `perm`, the code index of
+    each code of the flattened blocks, to the lowest code index.
 
     Token slices keep the differences and the tokens repeated L times within
     _CHUNK_BYTES across all of _WORKERS (the distances add 1/d); each worker

@@ -6,9 +6,9 @@ p·c, the permutation from sorted position back to code index, and every 16th
 sorted projection, which places a search window at a token's rank. One image's
 search reads W = K/4 codes around that rank instead of all K
 (quantizer._window_search); the rows that window cannot certify read 2W, then
-4W, … while that stays below K, and all K only for the rows no window
-certifies, all through quantizer._block_search; so the index serves encode in
-place of the pool.
+4W, … and at last a window of all K, which certifies every row it gets, all
+through quantizer._block_search; so the index serves encode in place of the
+pool.
 
 The header holds the pool's shape, W and the pool file's inode, size and change
 time as they were when the index was written. A pool that was re-saved, copied

@@ -44,6 +44,9 @@ stscq sweep --data toks.npz --m-values 1,2 --out sweep.csv --K 8 --T 4 --d 4 --s
 python -c "import numpy as np; np.save('tok.npy', np.load('toks.npz')['tokens'][0])"
 stscq encode --tokens tok.npy --width 8 --height 8 --pool trun/pool_stage2.pool --router trun/router_stage2.rtr --policy cr --out tok.stscq
 stscq decode --stream tok.stscq --pool trun/pool_stage2.pool --out tok_back.npy
+# decoded tokens go to exactly the --out name, .npy or not: numpy.save would append .npy to tok_back.tok
+stscq decode --stream tok.stscq --pool trun/pool_stage2.pool --out tok_back.tok
+cmp tok_back.tok tok_back.npy; test ! -e tok_back.tok.npy
 # --tokens takes one .npy array; a .npz archive is a data error: exit 3
 rc=0; stscq encode --tokens toks.npz --width 8 --height 8 --pool trun/pool_stage2.pool --out npz.stscq || rc=$?; test "$rc" -eq 3
 # stage 3 needs images, so the default --stage all over tokens is a data error that trains nothing

@@ -319,12 +319,32 @@ def test_encode_and_decode_onto_longer_existing_files_leave_exactly_the_new_outp
     encode = ["encode", "--tokens", d / "t.npy", "--pool", d / "p.pool", "--pca", d / "p1.pca",
               "--width", 16, "--height", 16, "--out"]
     decode = ["decode", "--pool", d / "p.pool", "--pca", d / "p1.pca", "--stream", d / "fresh.stscq", "--out"]
+    tokens = ["decode", "--pool", d / "p.pool", "--stream", d / "fresh.stscq", "--out"]
     assert run(*encode, d / "fresh.stscq") == 0 and run(*decode, d / "fresh.pgm") == 0
-    for name in ("old.stscq", "old.pgm"):
+    assert run(*tokens, d / "fresh.npy") == 0
+    for name in ("old.stscq", "old.pgm", "old.npy"):
         (d / name).write_bytes(b"\xff" * 100000)
-    assert run(*encode, d / "old.stscq") == 0 and run(*decode, d / "old.pgm") == 0
+    assert run(*encode, d / "old.stscq") == 0 and run(*decode, d / "old.pgm") == 0 and run(*tokens, d / "old.npy") == 0
     assert (d / "old.stscq").read_bytes() == (d / "fresh.stscq").read_bytes()
     assert (d / "old.pgm").read_bytes() == (d / "fresh.pgm").read_bytes()
+    assert (d / "old.npy").read_bytes() == (d / "fresh.npy").read_bytes()
+
+
+def test_decoded_tokens_go_to_exactly_the_named_file(t16_files, capsys):
+    # np.save appended .npy: --out back.tok wrote back.tok.npy and said "wrote back.tok"
+    d = t16_files
+    assert run("encode", "--tokens", d / "t.npy", "--pool", d / "p.pool", "--width", 16, "--height", 16,
+               "--out", d / "t.stscq") == 0
+    assert run("decode", "--stream", d / "t.stscq", "--pool", d / "p.pool", "--out", d / "back.tok") == 0
+    assert f"wrote {d / 'back.tok'}" in capsys.readouterr().out
+    assert not (d / "back.tok.npy").exists()
+    from stscq.bitstream import deserialize
+    from stscq.codebook import load_pool
+    from stscq.quantizer import dequantize
+
+    pool = load_pool(d / "p.pool")
+    want = dequantize(deserialize((d / "t.stscq").read_bytes(), pool), pool)
+    assert np.array_equal(np.load(d / "back.tok"), want)
 
 
 @pytest.mark.parametrize("geometry", [["--height", 16], ["--width", 16], [], ["--width", 0, "--height", 16]],

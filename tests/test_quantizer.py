@@ -97,6 +97,8 @@ def test_quantize_one_dimension_mismatch():
         quantize_one(np.zeros(3), Codebook(np.zeros((2, 2))))
     with pytest.raises(ShapeMismatch):  # one kind of error: a dimension mismatch is a shape mismatch
         quantize_one(np.zeros(3), Codebook(np.zeros((2, 2))))
+    with pytest.raises(ShapeMismatch):  # the right length, but not real numbers
+        quantize_one(np.array(["a", "b"]), Codebook(np.zeros((2, 2))))
 
 
 def test_group_token_shared_equals_shared_codebook():
@@ -580,6 +582,8 @@ def test_non_finite_tokens_rejected(bad):
         quantize_routed(tokens, pool, policy="nn")
     with pytest.raises(RangeViolation):
         quantize_group(tokens, pool.groups[0])
+    with pytest.raises(RangeViolation):  # it returned index 0 with a non-finite error
+        quantize_one(tokens[2], Codebook(pool.codes[0, 2]))
 
 
 def test_routed_single_group_always_zero():
@@ -817,9 +821,10 @@ def spy_window_passes(monkeypatch):
 @pytest.mark.parametrize("place", ["left", "right", "middle"])
 def test_window_search_certifies_what_it_can_and_settles_the_rest(monkeypatch, place):
     """Windows placed at a codebook's left or right edge by marks made for it,
-    or at the tokens' ranks: the result is the difference form's, and with the
-    windows at the ranks most rows are certified by their first window alone,
-    as the codes spread mostly along one axis."""
+    or at the tokens' ranks: the result is the difference form's, the widths
+    double up to a last window of all K codes, which certifies every row it
+    gets, and with the windows at the ranks most rows are certified by their
+    first window alone, as the codes spread mostly along one axis."""
     rng = np.random.default_rng(40)
     M, T, K, d, W = 2, 6, 40, 3, 16
     spread = np.array([10.0, 1.0, 1.0])
@@ -827,21 +832,14 @@ def test_window_search_certifies_what_it_can_and_settles_the_rest(monkeypatch, p
     marks = {"left": np.inf, "right": -np.inf, "middle": None}[place]
     index = window_index(codes, W, None if marks is None else np.full((M, T, 3), marks))
     passes = spy_window_passes(monkeypatch)
-    settled = []
-    settle = quantizer._settle
-
-    def spying(z, books, book, idx, certified, perm=None, err=None):
-        settled.append((idx.copy(), certified.copy()))
-        return settle(z, books, book, idx, certified, perm, err)
-
-    monkeypatch.setattr(quantizer, "_settle", spying)
     got = search(tokens[None], codes, index)
     for g, w in zip(got, search(tokens[None], codes)):
         assert np.array_equal(g, w)
-    ((candidates, certified),) = settled
-    assert [p[0] for p in passes] == [W, 2 * W][: len(passes)]
+    assert [p[0] for p in passes] == [W, 2 * W, K][: len(passes)]
+    assert passes[-1][3].all()
     if place == "middle":
-        assert passes[0][3].mean() > 0.5 and certified.mean() > 0.5
+        narrow = sum(ok.sum() for width, _, _, ok in passes if width < K)  # rows certified below all K
+        assert passes[0][3].mean() > 0.5 and narrow > 0.5 * M * T
     else:  # every pass's candidates lie in its window at the edge
         for width, positions, _, _ in passes:
             assert ((positions < width) if place == "left" else (positions >= K - width)).all()
@@ -868,20 +866,11 @@ def test_a_lower_index_duplicate_just_past_the_window_is_not_missed(monkeypatch)
     assert want[0][0, 0, 0] == 14 and want[1][0, 0, 0] == 1.0
     assert token[0, 0] - keys[14] == np.sqrt(want[1][0, 0, 0])  # the gap past the left edge is exactly √best
     passes = spy_window_passes(monkeypatch)
-    settled = []
-    settle = quantizer._settle
-
-    def spying(z, books, book, idx, certified, perm=None, err=None):
-        _, first, first_err, first_certified = passes[0]
-        assert first[0, 0] == 15 and not first_certified[0, 0]
-        # the first window's candidate, certified regardless
-        settled.append(settle(z, books, book, first, np.ones_like(certified), perm, first_err))
-        return settle(z, books, book, idx, certified, perm, err)
-
-    monkeypatch.setattr(quantizer, "_settle", spying)
     got = search(token[None], codes, index)
     assert got[0][0, 0, 0] == 14 and got[1][0, 0, 0] == 1.0
-    assert settled[0][0][0] == 30  # what the window alone would have returned
+    _, first, _, first_certified = passes[0]
+    assert first[0, 0] == 15 and not first_certified[0, 0]
+    assert perm[first[0, 0]] == 30  # what the window alone would have returned
 
 
 def test_a_lower_index_duplicate_just_past_the_doubled_window_is_not_missed(monkeypatch):
@@ -890,8 +879,8 @@ def test_a_lower_index_duplicate_just_past_the_doubled_window_is_not_missed(monk
     window, [11, 21), holds neither copy and is not certified. The doubled
     one, [6, 26), holds code 30, and code 5 sits just past its left edge,
     exactly √best from the token in projection; a second certificate that took
-    gap ≥ √best would return code 30. The strict one leaves the row to _settle
-    (4W = K, so there is no third window), which returns code 5."""
+    gap ≥ √best would return code 30. The strict one leaves the row to the
+    third window, 4W = K wide, which holds every code and returns code 5."""
     K, W = 40, 10
     values = np.arange(K) * 10.0
     values[30] = values[5]
@@ -904,18 +893,9 @@ def test_a_lower_index_duplicate_just_past_the_doubled_window_is_not_missed(monk
     assert want[0][0, 0, 0] == 5 and want[1][0, 0, 0] == 1.0
     assert token[0, 0] - keys[5] == np.sqrt(want[1][0, 0, 0])  # the gap past the doubled window's edge is √best
     passes = spy_window_passes(monkeypatch)
-    settled = []
-    settle = quantizer._settle
-
-    def spying(z, books, book, idx, certified, perm=None, err=None):
-        settled.append((idx.copy(), certified.copy()))
-        return settle(z, books, book, idx, certified, perm, err)
-
-    monkeypatch.setattr(quantizer, "_settle", spying)
     got = search(token[None], codes, index)
-    assert [(width, pos.item(), ok.item()) for width, pos, _, ok in passes] == [(W, 11, False), (2 * W, 6, False)]
-    ((candidate, certified),) = settled
-    assert candidate[0, 0] == 6 and not certified[0, 0]
+    assert [(width, pos.item(), ok.item()) for width, pos, _, ok in passes] == [
+        (W, 11, False), (2 * W, 6, False), (K, 5, True)]
     assert got[0][0, 0, 0] == 5 and got[1][0, 0, 0] == 1.0
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -927,7 +907,7 @@ def test_each_row_is_settled_by_the_narrowest_window_that_certifies_it(monkeypat
     a window must be to certify them. The first window (W = 32) and the doubled
     one reach about 8 and 24 codes past the token; |y| below 8 is certified by
     the first, between 8 and 24 only by the doubled one, and above 24 by
-    neither, and 4W = K leaves those rows to the all-K search. Every index and
+    neither, and those rows go to the third window, 4W = K wide. Every index and
     error is the dense search's, bit for bit."""
     rng = np.random.default_rng(43)
     M, T, K, d, W = 2, 6, 128, 2, 32
@@ -942,7 +922,11 @@ def test_each_row_is_settled_by_the_narrowest_window_that_certifies_it(monkeypat
         searched.append((at.size, span * blocks.shape[1]))
         return block_search(z, blocks, at, span, perm)
 
+    def settling(*args):
+        raise AssertionError("an indexed search calls no _settle")
+
     monkeypatch.setattr(quantizer, "_block_search", counting)
+    monkeypatch.setattr(quantizer, "_settle", settling)
     got = search(tokens[None], codes, index)
     # (rows, codes per row): every row, the rows the first window left, then the rows neither window certified;
     # two tokens of each group in each tier
