@@ -12,7 +12,7 @@ import numpy as np
 
 from .bitstream import bpp
 from .codebook import Codebook, CodebookPool, TokenSpecificGroup, UtilizationStats, index_histograms, utilization
-from .errors import EmptyCorpus, LengthMismatch
+from .errors import BadSpec, EmptyCorpus, LengthMismatch
 from .latent import ImageBuffer, PcaTransform, decode, encode_corpus
 from .quantizer import _token_corpus, codes_at, quantize_corpus
 
@@ -72,12 +72,17 @@ def eval_rd_tokens(
 ) -> RdPoint:
     """Rate-distortion point of N (T, d) token matrices from one search of the pool.
 
-    Given the images the tokens were encoded from and their PCA, the point also
-    has pixel MSE and PSNR, and its bpp is at the images' own geometry.
+    Given the images the tokens were encoded from, one per token matrix, and
+    their PCA, the point also has pixel MSE and PSNR, and its bpp is at the
+    images' own geometry.
     """
     values = _token_corpus(corpus, pool)
     if len(values) == 0:
         raise EmptyCorpus("a rate-distortion point needs at least one token matrix")
+    if images is not None and pca is None:
+        raise BadSpec("pixel distortion needs the PCA that encoded the images")
+    if images is not None and len(images) != len(values):
+        raise LengthMismatch(f"{len(images)} images for {len(values)} token matrices")
     groups, indices, _ = quantize_corpus(values, pool, policy=policy, router=router)
     z_q = codes_at(pool, groups, indices)
     latent_sq = sum(float(((v - z) ** 2).sum()) for v, z in zip(values, z_q))

@@ -59,12 +59,15 @@ class QuantizedImage:
         self.indices = np.asarray(self.indices, dtype=np.int64)
 
 
-def _tokens(x, shape) -> np.ndarray:
-    """float64 tokens of `shape` (None: any length) and a real dtype, or ShapeMismatch; finite, or RangeViolation."""
-    values = np.asarray(getattr(x, "values", x))
+def _tokens(x, shape, mismatch=ShapeMismatch) -> np.ndarray:
+    """float64 tokens of `shape` (None: any length) and a real dtype, or `mismatch`; finite, or RangeViolation."""
+    try:
+        values = np.asarray(getattr(x, "values", x))
+    except ValueError:  # numpy's "inhomogeneous shape": a ragged nesting
+        raise ShapeMismatch(f"expected real tokens of shape {shape}, got a ragged nesting") from None
     if values.dtype.kind not in "biuf" or len(values.shape) != len(shape) or any(
             n not in (None, v) for n, v in zip(shape, values.shape)):
-        raise ShapeMismatch(f"expected real tokens of shape {shape}, got {values.dtype} of shape {values.shape}")
+        raise mismatch(f"expected real tokens of shape {shape}, got {values.dtype} of shape {values.shape}")
     values = values.astype(np.float64, copy=False)
     if not np.isfinite(values).all():
         raise RangeViolation("tokens must be finite")
@@ -81,9 +84,7 @@ def _token_corpus(corpus, pool: CodebookPool) -> np.ndarray:
 
 def quantize_one(z: np.ndarray, cb: Codebook) -> tuple[int, float]:
     """Index of the nearest code and the attained squared distance."""
-    if np.shape(z) != (cb.d,):
-        raise DimensionMismatch(f"vector of dim {np.shape(z)} vs codebook dim {cb.d}")
-    indices, errors = search(_tokens(z, (cb.d,))[None, None], cb.codes[None, None])
+    indices, errors = search(_tokens(z, (cb.d,), DimensionMismatch)[None, None], cb.codes[None, None])
     return int(indices[0, 0, 0]), float(errors[0, 0, 0])
 
 
@@ -97,18 +98,18 @@ def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray
     One image is searched through `index`, a window.WindowIndex of `codes`,
     when there is one (_window_search), which then never reads `codes`; else by
     the difference form alone, over each (group, token)'s whole codebook as one
-    block (_block_search). A batch that shares one
-    codebook across its T tokens (T' = 1) is searched as B·T one-token images,
-    so each group's codes meet every token in one product. Otherwise each slice
-    of tokens screens every image of the batch with s = ‖c‖² − 2z·c, which is
-    ‖z − c‖² − ‖z‖². Codes with s within a rounding margin of the row's minimum
-    are the candidates. A row with one candidate takes it, with its error from
-    the difference form; a row with several (a tie or a near-tie) or none (a
-    non-finite value) is searched again by the difference form over all K
-    (_settle). So the matmul's bits, which vary with the BLAS kernel, only choose
-    candidates and never reach an index or an error. Every temporary stays
-    within _CHUNK_BYTES, but for the small-K copy of the codes with their
-    norms, which takes (d + 1)/d of that.
+    block (_block_search). A batch that shares one codebook across its T tokens
+    (T' = 1) is searched as B·T one-token images, so each group's codes meet
+    every token in one product. Otherwise each slice of tokens screens every
+    image of the batch with s = ‖c‖² − 2z·c, which is ‖z − c‖² − ‖z‖², from one
+    product per token of [c, ‖c‖²] and [−2z, 1]. Codes with s within a rounding
+    margin of the row's minimum are the candidates. A row with one candidate
+    takes it, with its error from the difference form; a row with several (a
+    tie or a near-tie) or none (a non-finite value) is searched again by the
+    difference form over all K (_settle). So the matmul's bits, which vary with
+    the BLAS kernel, only choose candidates and never reach an index or an
+    error. Every temporary stays within _CHUNK_BYTES, but for the copy of the
+    codes with their norms, which takes (d + 1)/d of that.
     """
     B, T, d = batch.shape
     M, Tc, K, _ = codes.shape
@@ -130,18 +131,14 @@ def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray
     tally = _tally(K)
     # the largest temporaries: the codes of a slice of tokens, and the screen
     # values (or the chosen codes' differences) of a slice of (image, token)
-    # pairs; at small K the codes' copy with their norms has d + 1 columns
+    # pairs; sized for d columns, not the d + 1 of the codes' copy with their
+    # norms: sized for d + 1, one call at K=1024 re-faulted 161k pages
     nt = max(1, min(T, _CHUNK_BYTES // (8 * M * K * d)))
     nb = max(1, _CHUNK_BYTES // (8 * M * max(K, d) * nt))
-    # reduce over K along whichever of K and the images is longer: at K=1024
-    # over each row's contiguous codes; at K=16 over the code axis laid out
-    # outside the groups and images, where one product per token serves every
-    # group and the minimum is taken over whole (group, image) rows
-    k_inner = K >= min(B, nb)
     # The screen's error bound. With u = ε/2 and γ_n = nu/(1 − nu), a dot
     # product of n terms in any order, with or without FMA, is off by at most
-    # γ_n Σ|x_i y_i|. s is the computed ‖c‖² (off by γ_d ‖c‖²) either added to
-    # −2z·c or folded in as the (d+1)-th term of [−2z, 1]·[c, ‖c‖²]; both ways
+    # γ_n Σ|x_i y_i|. s is the computed ‖c‖² (off by γ_d ‖c‖²) folded in as the
+    # (d+1)-th term of [−2z, 1]·[c, ‖c‖²], so
     # |s − s*| ≤ γ_{2d+1}(2‖z‖‖c‖ + ‖c‖²) ≤ γ_{2d+1} R² ≤ 2γ_{d+2} R² for any
     # R ≥ ‖z‖ + ‖c‖. The difference form's distance D is off by at most
     # γ_{d+2}‖z − c‖² ≤ γ_{d+2} R². If k* is the difference form's argmin and j
@@ -162,35 +159,26 @@ def search(batch: np.ndarray, codes: np.ndarray, index=None) -> tuple[np.ndarray
         book = np.arange(nc)[:, None] + np.arange(M) * nc  # (nt, M): each (token, group)'s codebook in c
         norms = np.einsum("mtkd,mtkd->mtk", c, c)
         margin = scale * (np.sqrt(norms.max(initial=0.0)) + z_reach) ** 2
-        if not k_inner:
-            # [c, ‖c‖²] as (token, code, group) rows: one product per token is s
-            aug = np.empty((nc, K, M, d + 1))
-            aug[..., :d] = c.transpose(1, 2, 0, 3)
-            aug[..., d] = norms.transpose(1, 2, 0)
-            aug = aug.reshape(nc, K * M, d + 1)
+        # [c, ‖c‖²] as (token, code, group) rows: one product per token is s
+        aug = np.empty((nc, K, M, d + 1))
+        aug[..., :d] = c.transpose(1, 2, 0, 3)
+        aug[..., d] = norms.transpose(1, 2, 0)
+        aug = aug.reshape(nc, K * M, d + 1)
         for b in range(0, B, nb):
             z = np.ascontiguousarray(batch[b : b + nb, t : t + nt].transpose(1, 0, 2))  # (nt, nb, d)
             n = z.shape[1]
+            q = np.empty((nc, d + 1, n))  # [−2z, 1] per token
+            np.multiply(z.transpose(0, 2, 1), -2, out=q[:, :d])
+            q[:, d] = 1
             # a non-finite code makes inf − inf here; NaN compares false, so
             # its row has no candidate and the difference form searches it again
             with np.errstate(invalid="ignore"):
-                if k_inner:
-                    s = (-2 * z) @ c.swapaxes(2, 3)  # (M, nt, nb, K)
-                    s += norms[:, :, None]
-                    bound = s.min(axis=3, keepdims=True)
-                    bound += margin
-                    candidates = np.less_equal(s, bound, out=s, casting="unsafe")  # 1.0 or 0.0, in place
-                    # sums of 0s, 1s and indices below K: exact in any order
-                    count, idx = np.moveaxis(candidates @ tally.T, 3, 0).swapaxes(1, 2)  # (nt, M, nb) each
-                else:
-                    q = np.empty((nc, d + 1, n))  # [−2z, 1] per token
-                    np.multiply(z.transpose(0, 2, 1), -2, out=q[:, :d])
-                    q[:, d] = 1
-                    s = (aug @ q).reshape(nc, K, M * n)
-                    bound = s.min(axis=1, keepdims=True)
-                    bound += margin
-                    candidates = np.less_equal(s, bound, out=s, casting="unsafe")
-                    count, idx = (tally @ candidates).reshape(nc, 2, M, n).swapaxes(0, 1)
+                s = (aug @ q).reshape(nc, K, M * n)
+                bound = s.min(axis=1, keepdims=True)
+                bound += margin
+                candidates = np.less_equal(s, bound, out=s, casting="unsafe")  # 1.0 or 0.0, in place
+            # sums of 0s, 1s and indices below K: exact in any order
+            count, idx = (tally @ candidates).reshape(nc, 2, M, n).swapaxes(0, 1)  # (nt, M, nb) each
             # (token, group, image) rows: a row with one candidate has found it
             idx, err = _settle(z[:, None], c.reshape(-1, K, d), book[..., None], idx.astype(np.intp), count == 1)
             indices[b : b + nb, :, t : t + nt] = idx.transpose(2, 1, 0)

@@ -35,8 +35,10 @@ from stscq.trainer import TrainConfig, stage1
      ShapeMismatch),
     (lambda: utilization(np.zeros((3, 4)), 5), ShapeMismatch),
     (lambda: bit_width(0), RangeViolation),
+    (lambda: quantize_corpus([[[1.0], []]], CodebookPool(np.zeros((1, 2, 1, 1)))), ShapeMismatch),
+    (lambda: route_learned([[1.0, 2.0], [3.0]], init_router(2, 3, h=4)), ShapeMismatch),
 ], ids=["count", "warmup", "weight", "learning-rate", "policy", "codebook", "group-codes", "empty-group",
-        "empty-pool", "groups-disagree", "histograms", "bit-width"])
+        "empty-pool", "groups-disagree", "histograms", "bit-width", "ragged-corpus", "ragged-routed-tokens"])
 def test_every_refusal_that_was_a_value_error_is_typed(call, error):
     with pytest.raises(error):
         call()

@@ -151,6 +151,8 @@ def test_corpus_shape_checked():
         eval_rd_tokens(tokens[:, :3], pool)
     with pytest.raises(ShapeMismatch):
         eval_rd_tokens([tokens[0], tokens[1][:, :1]], pool)
+    with pytest.raises(ShapeMismatch):  # ragged: numpy's asarray refuses it
+        eval_rd_tokens([tokens[0], [row.tolist() for row in tokens[1][:-1]] + [[0.0]]], pool)
     images[3] = ImageBuffer.from_array(np.zeros((8, 12)))
     with pytest.raises(ShapeMismatch):
         eval_rd(images, pca, pool)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup
-from stscq.errors import EmptyCorpus, LengthMismatch
+from stscq.errors import BadSpec, EmptyCorpus, LengthMismatch
 from stscq.latent import ImageBuffer, encode, fit_pca
 from stscq.metrics import (
     RD_CSV_FIELDS,
@@ -87,6 +87,19 @@ def test_eval_rd_bpp_matches_pool_geometry():
         latent += float(((t - z) ** 2).sum())
         count += t.size
     assert point.latent_mse == pytest.approx(latent / count)
+
+
+@pytest.mark.parametrize("n_tokens, with_pca, error", [(2, True, LengthMismatch), (4, True, LengthMismatch),
+                                                      (3, False, BadSpec)], ids=["fewer", "more", "no-pca"])
+def test_eval_rd_tokens_refuses_images_it_cannot_decode_against(n_tokens, with_pca, error):
+    # zip kept the first pairs in the pixel sum while the divisor counted every
+    # image, and images without a PCA ended in an AttributeError
+    rng = np.random.default_rng(3)
+    images = [ImageBuffer.from_array(rng.uniform(0, 1, (16, 16))) for _ in range(3)]
+    pca = fit_pca(images, patch_size=4, d=4)
+    tokens = np.stack([encode(images[i % 3], pca).values for i in range(n_tokens)])
+    with pytest.raises(error):
+        eval_rd_tokens(tokens, make_pool(rng, M=2, T=16, K=4, d=4), images=images, pca=pca if with_pca else None)
 
 
 def test_routing_histogram_sums():

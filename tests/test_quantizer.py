@@ -99,6 +99,8 @@ def test_quantize_one_dimension_mismatch():
         quantize_one(np.zeros(3), Codebook(np.zeros((2, 2))))
     with pytest.raises(ShapeMismatch):  # the right length, but not real numbers
         quantize_one(np.array(["a", "b"]), Codebook(np.zeros((2, 2))))
+    with pytest.raises(ShapeMismatch):  # ragged: numpy's asarray refuses it
+        quantize_one([[1.0, 2.0], [3.0]], Codebook(np.zeros((2, 2))))
 
 
 def test_group_token_shared_equals_shared_codebook():
@@ -136,6 +138,8 @@ def test_group_shape_mismatch():
         quantize_group(np.zeros((4, 2)), group)
     with pytest.raises(ShapeMismatch):
         quantize_group(np.zeros((3, 5)), group)
+    with pytest.raises(ShapeMismatch):
+        quantize_group([[0.0, 0.0], [0.0], [0.0, 0.0]], group)
 
 
 def test_search_matches_per_token_oracle():
@@ -225,17 +229,19 @@ def one_image_at_a_time(batch, codes):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("B", [0, 2, 33])
+@pytest.mark.parametrize("B, K", [(0, 7), (2, 7), (33, 7), (2, 300), (33, 300)],
+                         ids=["0", "2", "33", "2-K300", "33-K300"])
 @pytest.mark.parametrize("shared", [False, True], ids=["T'=T", "T'=1"])
 @pytest.mark.parametrize("data", ["normal", "grid", "midpoints", "offset", "non-finite"])
-def test_screened_search_is_the_difference_form_bit_for_bit(monkeypatch, data, shared, B):
+def test_screened_search_is_the_difference_form_bit_for_bit(monkeypatch, data, shared, B, K):
     """Grids tie exactly, with a duplicate code after its first copy; midpoints
     sit between grid codes; a common offset of 1e3 with 1e-6 spreads puts the
     screen's rounding far above the gaps between codes; a NaN code is the
     difference form's choice, and an infinite one never is. The screen's
-    inf − inf on those codes must not warn."""
+    inf − inf on those codes must not warn. At K=300 a slice holds fewer images
+    than codes (B=2) or more (B=33)."""
     rng = np.random.default_rng(19)
-    M, T, K, d = 2, 9, 7, 3
+    M, T, d = 2, 9, 3
     shape = (M, 1 if shared else T, K, d)
     if data in ("normal", "non-finite"):
         codes, batch = rng.standard_normal(shape), rng.standard_normal((B, T, d))
