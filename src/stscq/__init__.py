@@ -6,7 +6,6 @@ from .codebook import (
     CodebookPool,
     TokenSpecificGroup,
     UtilizationStats,
-    derive_token_specific,
     init_kmeanspp,
     load_pool,
     save_pool,

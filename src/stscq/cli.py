@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
+# synth's flags, (flag, type) by field: every field of either spec, with --tokens and --dim for T and d
+_SYNTH_FLAGS = {f.name: ({"T": "--tokens", "d": "--dim"}.get(f.name, "--" + f.name.replace("_", "-")), type(f.default))
+                for cls in (synth.MixtureSpec, synth.ImageCorpusSpec) for f in fields(cls)}
 
 
 def _build_spec(cls, raw, args):
@@ -66,13 +69,17 @@ def _training_corpus(args):
 
 
 def cmd_synth(args) -> int:
+    cls = synth.MixtureSpec if args.kind == "tokens" else synth.ImageCorpusSpec
+    taken = {f.name for f in fields(cls)}
+    stray = [flag for name, (flag, _) in _SYNTH_FLAGS.items() if name not in taken and getattr(args, name) is not None]
+    if stray:
+        raise BadSpec(f"synth --kind {args.kind} takes no {', '.join(stray)}")
+    spec = _build_spec(cls, {}, args)
     if args.kind == "tokens":
-        spec = _build_spec(synth.MixtureSpec, {}, args)
         tokens, labels, means = synth.make_token_corpus(spec)
         synth.save_token_corpus(args.out, tokens, labels, means, spec)
         print(f"wrote {args.out}: {tokens.shape[0]} token matrices, {spec.clusters} clusters")
     else:
-        spec = _build_spec(synth.ImageCorpusSpec, {}, args)
         images, labels = synth.make_image_corpus(spec)
         manifest = synth.save_image_corpus(args.out, images, labels, spec)
         print(f"wrote {manifest}: {len(images)} images, {spec.clusters} clusters")
@@ -225,17 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("synth", help="generate a synthetic corpus")
     ps.add_argument("--kind", choices=["tokens", "images"], default="tokens")
     ps.add_argument("--out", required=True)
-    ps.add_argument("--clusters", type=int, default=8)
-    ps.add_argument("--tokens", dest="T", type=int, default=16, help="tokens per matrix")
-    ps.add_argument("--dim", dest="d", type=int, default=8)
-    ps.add_argument("--samples", type=int, default=512)
-    ps.add_argument("--separation", type=float, default=5.0)
-    ps.add_argument("--sigma", type=float, default=0.5)
-    ps.add_argument("--width", type=int, default=32)
-    ps.add_argument("--height", type=int, default=32)
-    ps.add_argument("--channels", type=int, default=1)
-    ps.add_argument("--patch-size", type=int, default=8)
-    ps.add_argument("--seed", type=int, default=None)
+    for name, (flag, kind) in _SYNTH_FLAGS.items():  # an unset flag leaves the spec's default
+        ps.add_argument(flag, dest=name, type=kind, default=None)
     ps.set_defaults(func=cmd_synth)
 
     # the options train and sweep share: the corpus and every TrainConfig field

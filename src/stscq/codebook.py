@@ -183,11 +183,12 @@ def init_kmeanspp(samples: np.ndarray, K: int, seed: int) -> Codebook:
     samples: (n, d) array of encoder outputs. Deterministic for a fixed seed
     and sample order.
     """
-    from .quantizer import search  # quantizer imports this module
+    from .quantizer import _tokens, search  # quantizer imports this module
 
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = np.asarray(samples)
     if samples.ndim != 2:
         samples = samples.reshape(-1, samples.shape[-1])
+    samples = _tokens(samples, (None, None))  # real and finite, or a typed error
     n = samples.shape[0]
     if n < K:
         raise TooFewSamples(f"need at least {K} samples, got {n}")
@@ -217,15 +218,6 @@ def init_kmeanspp(samples: np.ndarray, K: int, seed: int) -> Codebook:
         for k in np.flatnonzero(~full):  # an empty centre draws a new start, in k order
             centers[k] = samples[rng.integers(n)] + 1e-3 * rng.standard_normal(d)
     return Codebook(centers)
-
-
-def derive_token_specific(shared: Codebook, T: int) -> TokenSpecificGroup:
-    """T independent copies of a shared codebook.
-
-    Immediately after derivation the group quantizes identically to the
-    shared codebook; the copies may then diverge under per-token training.
-    """
-    return TokenSpecificGroup(np.repeat(shared.codes[None], T, axis=0), T)
 
 
 def index_histograms(indices: np.ndarray, K: int) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 from . import artifact
 from .errors import (
     BadMagic,
+    BadSpec,
     DimensionTooLarge,
     EmptyCorpus,
     HeaderMismatch,
@@ -145,6 +146,8 @@ def fit_pca(corpus, patch_size: int, d: int, seed: int = 0) -> PcaTransform:
     if any(img.channels != channels for img in corpus):
         raise ShapeMismatch("the images of a corpus must share one channel count")
     p = patch_size * patch_size * channels
+    if d < 1:
+        raise BadSpec(f"d must be >= 1, got {d}")
     if d > p:
         raise DimensionTooLarge(f"d={d} exceeds patch dimension {p}")
 

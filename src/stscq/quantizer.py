@@ -414,7 +414,8 @@ def quantize_corpus(corpus, pool: CodebookPool, policy: str = "nn", router=None)
 
     NN makes one search over all groups per chunk of images, sized so the
     (B, M, T) search results stay within _CHUNK_BYTES; ties go to the lowest
-    group. CR searches each chosen group once, over the images routed to it.
+    group. CR searches each chosen group once, over the images routed to it,
+    through the group's window index when one image is routed there.
     """
     values = _token_corpus(corpus, pool)
     N, T = len(values), pool.T
@@ -442,7 +443,8 @@ def quantize_corpus(corpus, pool: CodebookPool, policy: str = "nn", router=None)
         groups = _finite_probs(values.mean(axis=1), router).argmax(axis=1)
         for m in np.unique(groups):
             rows = np.flatnonzero(groups == m)
-            idx, err = search(values[rows], pool.codes[m : m + 1])
+            index = pool.index.group(m) if len(rows) == 1 and pool.index else None  # a batch takes the screen
+            idx, err = search(values[rows], pool.codes[m : m + 1], index)
             indices[rows], errors[rows] = idx[:, 0], err[:, 0].sum(axis=1)
     else:
         raise BadSpec(f"unknown policy {policy!r}")

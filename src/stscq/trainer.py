@@ -121,14 +121,19 @@ def _router_step(router: RouterParams, pooled, errs, cfg, lr) -> float:
     return loss
 
 
-def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
-    """Mini-batch online k-means of dense (M, T', K, d) codes jointly with the router.
+def _refine(stage, data, codes, router, cfg, report) -> CodebookPool:
+    """One training stage: mini-batch online k-means of dense (M, T', K, d) codes jointly with the router.
 
     T' == 1 is one codebook shared by every token (stage 1); T' == T gives each
-    token position its own (stage 2). The first `warmup` steps update only the
-    router and count no code usage, so no code is reset as dead during them.
-    Returns the refined codes and the per-step loss curve.
+    token position its own (stage 2). Stage 1 takes `steps_stage1` steps, whose
+    first `router_warmup` update only the router and count no code usage, so no
+    code is reset as dead during them; stage 2 takes `steps_stage2` steps and
+    returns a frozen pool. Draws from default_rng(seed + stage) and writes the
+    stage's loss curve and time into `report` when one is given.
     """
+    start = time.perf_counter()
+    steps, warmup = (cfg.steps_stage1, cfg.router_warmup) if stage == 1 else (cfg.steps_stage2, 0)
+    rng = np.random.default_rng(cfg.seed + stage)
     n = data.shape[0]
     codes = np.array(codes, dtype=np.float64, order="C")
     M, Tp, K, d = codes.shape
@@ -188,7 +193,11 @@ def _refine(data, codes, router, cfg, steps, warmup, rng, stage):
             _reset_dead(codes, dead, data, rng)
             stale[dead] = 0
             usage[:] = 0
-    return codes, curve
+    pool = CodebookPool(codes, frozen=stage == 2, T=cfg.T)
+    if report is not None:
+        report.loss_curves[f"stage{stage}"] = curve
+        report.wall_clock += time.perf_counter() - start
+    return pool
 
 
 def _reset_dead(codes, dead, data, rng) -> None:
@@ -212,26 +221,13 @@ def _reset_dead(codes, dead, data, rng) -> None:
     codes[dead] = data[image, token] + 1e-3 * noise
 
 
-def stage1(
-    data: np.ndarray,
-    cfg: TrainConfig,
-    pool: CodebookPool | None = None,
-    report: TrainReport | None = None,
-) -> tuple[CodebookPool, RouterParams]:
+def stage1(data: np.ndarray, cfg: TrainConfig, report: TrainReport | None = None) -> tuple[CodebookPool, RouterParams]:
     """Train token-shared switchable codebooks jointly with the router."""
     cfg.validate()
     data = _tokens(data, (None, cfg.T, cfg.d))
-    if pool is None:
-        pool = init_stage1_pool(data, cfg)
+    pool = init_stage1_pool(data, cfg)
     router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
-    start = time.perf_counter()
-    codes, curve = _refine(data, pool.codes[:, :1], router, cfg, cfg.steps_stage1, cfg.router_warmup,
-                           np.random.default_rng(cfg.seed + 1), 1)
-    pool = CodebookPool(codes, T=cfg.T)
-    if report is not None:
-        report.loss_curves["stage1"] = curve
-        report.wall_clock += time.perf_counter() - start
-    return pool, router
+    return _refine(1, data, pool.codes, router, cfg, report), router
 
 
 def stage2(
@@ -253,13 +249,8 @@ def stage2(
         raise HeaderMismatch(f"the router scores M={router.M} groups, the pool has M={shared_pool.M}")
     data = _tokens(data, (None, cfg.T, cfg.d))
     router = router.copy()
-    start = time.perf_counter()
-    codes, curve = _refine(data, np.broadcast_to(shared_pool.codes, (cfg.M, cfg.T, cfg.K, cfg.d)), router,
-                           cfg, cfg.steps_stage2, 0, np.random.default_rng(cfg.seed + 2), 2)
-    pool = CodebookPool(codes, frozen=True)
+    pool = _refine(2, data, np.broadcast_to(shared_pool.codes, (cfg.M, cfg.T, cfg.K, cfg.d)), router, cfg, report)
     if report is not None:
-        report.loss_curves["stage2"] = curve
-        report.wall_clock += time.perf_counter() - start
         report.routing_histogram = routing_counts(data, router, cfg.M)
         report.utilization_summary = _utilization_summary(data, pool)
     return pool, router

@@ -70,3 +70,10 @@ cmp indexed.stscq rebuilt.stscq
 mkdir copied; cp -p big.pool big.pool.pidx copied/
 stscq encode --image imgs/img_00000.pgm --pca run/pca.pca --pool copied/big.pool --out copied.stscq
 cmp indexed.stscq copied.stscq
+# CR encode searches its routed group through the same index, with the bytes it
+# gives after the index is deleted
+python -c "from stscq import router as r; r.save_router(r.init_router(4, 2, seed=0), 'big.rtr')"
+stscq encode --image imgs/img_00000.pgm --pca run/pca.pca --pool big.pool --router big.rtr --policy cr --out cr_indexed.stscq
+rm big.pool.pidx
+stscq encode --image imgs/img_00000.pgm --pca run/pca.pca --pool big.pool --router big.rtr --policy cr --out cr_dense.stscq
+cmp cr_indexed.stscq cr_dense.stscq

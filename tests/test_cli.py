@@ -35,7 +35,7 @@ def image_corpus(tmp_path_factory):
     rc = run(
         "synth", "--kind", "images", "--out", out,
         "--clusters", 2, "--width", 16, "--height", 16, "--patch-size", 4,
-        "--samples", 16, "--seed", 0,
+        "--samples", 16, "--sigma", 0.5, "--seed", 0,
     )
     assert rc == 0
     return out / "manifest.json"
@@ -597,6 +597,29 @@ def test_synth_matches_the_library_corpus(tmp_path):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("kind", ["tokens", "images"])
+def test_synth_with_no_flags_saves_its_specs_defaults(tmp_path, monkeypatch, kind):
+    # the image corpus got the token flags' 8 clusters, 512 samples and sigma 0.5
+    from stscq import synth
+
+    monkeypatch.delenv("STSCQ_SEED", raising=False)
+    if kind == "tokens":
+        assert run("synth", "--kind", kind, "--out", tmp_path / "t.npz") == 0
+        assert synth.load_token_corpus(tmp_path / "t.npz")[3] == synth.MixtureSpec()
+    else:
+        assert run("synth", "--kind", kind, "--out", tmp_path / "imgs") == 0
+        assert synth.load_image_corpus(tmp_path / "imgs" / "manifest.json")[2] == synth.ImageCorpusSpec()
+
+
+@pytest.mark.parametrize("argv", [["--kind", "tokens", "--width", 16], ["--kind", "images", "--tokens", 4],
+                                  ["--kind", "images", "--separation", 1.0]], ids=["width", "tokens", "separation"])
+def test_synth_refuses_a_flag_its_kind_does_not_take(tmp_path, capsys, argv):
+    # --width with --kind tokens was silently ignored
+    assert run("synth", *argv, "--out", tmp_path / "c") == 2
+    assert argv[2] in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def count_calls(monkeypatch):
     """Counts quantize_corpus calls and PCA encodes through every module that binds them."""
     from stscq import cli, latent, metrics, quantizer, trainer
@@ -805,8 +828,27 @@ def indexed_files(tmp_path):
     return tmp_path
 
 
-def encode_tokens(d, pool, out):
-    return run("encode", "--tokens", d / "t.npy", "--pool", pool, "--width", 16, "--height", 16, "--out", out)
+def encode_tokens(d, pool, out, *flags):
+    return run("encode", "--tokens", d / "t.npy", "--pool", pool, "--width", 16, "--height", 16, "--out", out, *flags)
+
+
+def test_cr_encode_searches_through_the_index_and_gives_the_dense_bytes(indexed_files, monkeypatch):
+    # CR encode searched its group densely, where NN encode used the index
+    from stscq import quantizer
+    from stscq.router import init_router, save_router
+
+    d = indexed_files
+    save_router(init_router(4, 2, h=8, seed=0), d / "r.rtr")
+    calls = []
+    window_search = quantizer._window_search
+    monkeypatch.setattr(quantizer, "_window_search", lambda *a: calls.append(1) or window_search(*a))
+    cr = ("--router", d / "r.rtr", "--policy", "cr")
+    assert encode_tokens(d, d / "p.pool", d / "indexed.stscq", *cr) == 0
+    assert calls == [1]
+    (d / "p.pool.pidx").unlink()
+    assert encode_tokens(d, d / "p.pool", d / "dense.stscq", *cr) == 0
+    assert calls == [1]
+    assert (d / "dense.stscq").read_bytes() == (d / "indexed.stscq").read_bytes()
 
 
 def test_encode_gives_the_same_bytes_with_a_stale_rebuilt_or_missing_index(indexed_files, capsys):

@@ -8,13 +8,12 @@ from stscq.codebook import (
     CodebookPool,
     TokenSpecificGroup,
     bit_width,
-    derive_token_specific,
     init_kmeanspp,
     load_pool,
     save_pool,
     utilization,
 )
-from stscq.errors import HeaderMismatch, LengthMismatch, RangeViolation, TooFewSamples, Truncated
+from stscq.errors import HeaderMismatch, LengthMismatch, RangeViolation, ShapeMismatch, TooFewSamples, Truncated
 from stscq.latent import PcaTransform, load_pca, save_pca
 from stscq.quantizer import dequantize, quantize_routed
 from stscq.router import init_router, load_router, save_router
@@ -62,6 +61,22 @@ def test_kmeans_two_separated_clusters():
 def test_kmeans_too_few_samples():
     with pytest.raises(TooFewSamples):
         init_kmeanspp(np.zeros((3, 2)), K=4, seed=0)
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, RangeViolation), (np.inf, RangeViolation), (-np.inf, RangeViolation),
+                                        (1j, ShapeMismatch)], ids=["nan", "inf", "-inf", "complex"])
+def test_kmeans_refuses_non_finite_or_non_real_samples(bad, error):
+    # a NaN sample gave a NaN code and an infinite one an infinite code, without an error
+    samples = np.random.default_rng(5).standard_normal((20, 3)).astype(type(bad))
+    samples[7, 1] = bad
+    with pytest.raises(error):
+        init_kmeanspp(samples, K=4, seed=0)
+
+
+def test_kmeans_flattens_higher_rank_samples_to_rows():
+    samples = np.random.default_rng(6).standard_normal((5, 4, 3))
+    want = init_kmeanspp(samples.reshape(-1, 3), K=4, seed=1).codes
+    assert init_kmeanspp(samples, K=4, seed=1).codes.tobytes() == want.tobytes()
 
 
 def masked_mean_kmeanspp(samples, K, seed):
@@ -117,23 +132,6 @@ def test_kmeans_deterministic():
     a = init_kmeanspp(samples, K=8, seed=7)
     b = init_kmeanspp(samples, K=8, seed=7)
     assert np.array_equal(a.codes, b.codes)
-
-
-def test_derive_copies_are_independent():
-    cb = Codebook(np.arange(6, dtype=float).reshape(3, 2))
-    group = derive_token_specific(cb, 4)
-    assert group.T == 4
-    assert not group.token_shared
-    group.sub[0].codes[0, 0] = 99.0
-    assert group.sub[1].codes[0, 0] == 0.0
-    assert cb.codes[0, 0] == 0.0
-
-
-def test_derive_single_copy_group():
-    cb = Codebook(np.ones((2, 2)))
-    group = derive_token_specific(cb, 1)
-    assert group.T == 1
-    assert np.array_equal(group.sub[0].codes, cb.codes)
 
 
 def test_utilization_full_usage():

@@ -11,6 +11,7 @@ import pytest
 import stscq
 from stscq.errors import (
     BadMagic,
+    BadSpec,
     DimensionTooLarge,
     EmptyCorpus,
     HeaderMismatch,
@@ -89,6 +90,10 @@ def test_fit_pca_errors():
     img = ImageBuffer.from_array(np.zeros((8, 8)))
     with pytest.raises(DimensionTooLarge):
         fit_pca([img], patch_size=4, d=20)
+    # d=0 gave a (0, p) basis that save_pca wrote and load_pca refused; d=-1 an IndexError
+    for d in (0, -1):
+        with pytest.raises(BadSpec):
+            fit_pca([img], patch_size=4, d=d)
     odd = ImageBuffer.from_array(np.zeros((9, 8)))
     with pytest.raises(NonDivisibleImage):
         fit_pca([odd], patch_size=4, d=2)

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from stscq import trainer, window
 from stscq.bitstream import StreamHeader, serialize
-from stscq.codebook import (Codebook, CodebookPool, TokenSpecificGroup, derive_token_specific, init_kmeanspp,
-                            load_pool, save_pool)
+from stscq.codebook import Codebook, CodebookPool, TokenSpecificGroup, init_kmeanspp, load_pool, save_pool
 from stscq.errors import (
     DimensionMismatch,
     HeaderMismatch,
@@ -723,7 +722,7 @@ def test_error_monotone_in_group_count():
 def test_derived_group_quantizes_like_shared():
     rng = np.random.default_rng(14)
     cb = Codebook(rng.standard_normal((6, 3)))
-    group = derive_token_specific(cb, 5)
+    group = TokenSpecificGroup(np.repeat(cb.codes[None], 5, axis=0), 5)
     tokens = rng.standard_normal((5, 3))
     gi, gt = quantize_group(tokens, group)
     si, st_ = quantize_group(tokens, TokenSpecificGroup([cb] * 5))

@@ -54,7 +54,8 @@ def test_stage1_single_group_is_online_kmeans(mixture):
     bad = CodebookPool([TokenSpecificGroup([Codebook(np.zeros((cfg.K, cfg.d)))] * cfg.T)])
     before = mean_latent_mse(tokens, bad)
     report = TrainReport()
-    pool, _ = stage1(tokens, cfg, pool=bad, report=report)
+    router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=cfg.seed)
+    pool = trainer._refine(1, tokens, bad.codes, router, cfg, report)
     after = mean_latent_mse(tokens, pool)
     assert pool.token_shared
     assert after < before
@@ -124,12 +125,12 @@ def test_refine_is_the_step_by_step_loop_bit_for_bit(mixture, monkeypatch, share
     """One search per warm-up block and one per later step give every code,
     loss and router weight of a search per step, with dead codes reset."""
     tokens, _, _ = mixture
-    cfg = small_cfg()
+    warmup = 50
+    cfg = small_cfg(steps_stage1=steps, router_warmup=warmup, seed=4)  # stage 1 draws from default_rng(4 + 1)
     if cap is not None:
         monkeypatch.setattr(trainer, "_CHUNK_BYTES", cap)
-    pool = init_stage1_pool(tokens, cfg)
+    pool = init_stage1_pool(tokens, small_cfg())
     codes = pool.codes if shared else np.broadcast_to(pool.codes, (cfg.M, cfg.T, cfg.K, cfg.d))
-    warmup = 50
     want_router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=0)
     want, want_curve = refine_step_by_step(tokens, codes, want_router, cfg, steps, warmup,
                                            np.random.default_rng(5))
@@ -137,10 +138,11 @@ def test_refine_is_the_step_by_step_loop_bit_for_bit(mixture, monkeypatch, share
     search = trainer.search
     monkeypatch.setattr(trainer, "search", lambda *a: calls.append(len(a[0])) or search(*a))
     router = init_router(cfg.d, cfg.M, h=cfg.hidden, seed=0)
-    got, curve = trainer._refine(tokens, codes, router, cfg, steps, warmup, np.random.default_rng(5), 1)
+    report = TrainReport()
+    got = trainer._refine(1, tokens, codes, router, cfg, report)
     assert len(calls) == searches
-    assert got.tobytes() == want.tobytes()
-    assert curve == want_curve
+    assert got.codes.tobytes() == want.tobytes()
+    assert report.loss_curves["stage1"] == want_curve
     for name in ("W1", "b1", "W2", "b2"):
         assert getattr(router, name).tobytes() == getattr(want_router, name).tobytes()
 
